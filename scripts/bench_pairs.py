@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent checkout and on this one in alternating
+pairs, and summarise each end-to-end metric per workload.
+
+    git clone -q . /tmp/parent && git -C /tmp/parent checkout -q PARENT_REV
+    python3 scripts/bench_pairs.py --parent /tmp/parent --pairs 10 --seed 101 --out BENCH_3.json
+
+Pair k runs ``perfbench/run.py --workload W --seed SEED+k --seconds S
+--trace 0`` once in each checkout, parent first when k is even and this
+checkout first when k is odd. Runs go one at a time, so they do not compete
+for the cores. The output holds, per workload and metric of
+``BENCHMARK.json``, each side's median and quartiles, how many pairs the
+change wins by the metric's ``better`` direction, and whether the change's
+median is within the metric's bound. ``run.py`` pins the BLAS threads; the
+setting it logs is recorded. Before the pairs, one round per workload is
+trained in each checkout at seed SEED and the parameter digests
+(``workloads.digest``) are compared. The output is rewritten after every
+pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# One round per workload at a seed; run with perfbench/ as the working
+# directory of the checkout under test, so ``run`` resolves that checkout.
+DIGEST_PROBE = """
+import os, sys
+import run
+run.pin_blas_threads()
+run.import_program()
+import workloads
+wl = workloads.workloads(run.ROOT)[sys.argv[1]]
+inputs = workloads.setup(wl, int(sys.argv[2]), run.WORKDIR)
+try:
+    print(workloads.digest(workloads.run_round(wl, inputs).model))
+finally:
+    if inputs.path:
+        os.remove(inputs.path)
+"""
+BLAS_LINE = re.compile(r"BLAS threads (\d+)")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
+    parser.add_argument("--out", required=True, help="output JSON path")
+    return parser.parse_args(argv)
+
+
+def git_rev(path: str) -> str | None:
+    out = subprocess.run(["git", "-C", path, "describe", "--always", "--dirty", "--abbrev=40"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    started = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    blas = BLAS_LINE.search(proc.stdout)
+    return {
+        "seed": seed,
+        "run_s": round(time.perf_counter() - started, 1),
+        "blas_threads": blas.group(1) if blas else None,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def digest(root: str, workload: str, seed: int) -> str:
+    proc = subprocess.run([sys.executable, "-c", DIGEST_PROBE, workload, str(seed)],
+                          cwd=os.path.join(root, "perfbench"), capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def spread(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def summarise(spec: dict, runs: dict) -> dict:
+    """Per metric: both sides' spread, pair wins, and the bound check."""
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        ties = sum(c == p for p, c in zip(parent, change))
+        p, c = spread(parent), spread(change)
+        gain = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": p,
+            "change": c,
+            "change_wins": wins,
+            "ties": ties,
+            "pairs": len(parent),
+            "median_change_rel": (c["median"] - p["median"]) / p["median"],
+            "parent_iqr": p["q3"] - p["q1"],
+            "gain_beyond_parent_iqr": gain > p["q3"] - p["q1"],
+            "within_bound": -gain <= metric["bound"] * p["median"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    report = {
+        "harness": f"perfbench/run.py --seconds {spec['run_seconds']} --trace 0",
+        "revisions": {side: git_rev(path) for side, path in sides.items()},
+        "machine": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+        },
+        "blas_threads": None,
+        "seeds": [args.seed + k for k in range(args.pairs)],
+        "digests": {},
+        "workloads": {},
+    }
+    names = [w["name"] for w in spec["workloads"]]
+
+    def save():
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+
+    for name in names:
+        pair = {side: digest(path, name, args.seed) for side, path in sides.items()}
+        report["digests"][name] = {"seed": args.seed, **pair, "equal": pair["parent"] == pair["change"]}
+        print(f"[pairs] {name} digest equal: {report['digests'][name]['equal']}", flush=True)
+    save()
+    runs = {name: {"parent": [], "change": []} for name in names}
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for name in names:
+            for side in order:
+                r = run_once(sides[side], name, args.seed + k, spec["run_seconds"])
+                r["first"] = side == order[0]
+                runs[name][side].append(r)
+                report["blas_threads"] = r["blas_threads"]
+                print(f"[pairs] pair {k} {name} {side}: {r['metrics']} ({r['run_s']} s)", flush=True)
+            if k >= 1:
+                report["workloads"][name] = {"metrics": summarise(spec, runs[name]), "runs": runs[name]}
+        save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,7 +39,6 @@ from .train import (
     emit_curve,
     evaluate,
     rmse,
-    train,
 )
 
 __version__ = "0.1.0"

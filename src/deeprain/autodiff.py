@@ -182,6 +182,53 @@ class Tape:
             out, "add", (a, b), lambda g: (g, g), a.needs_grad or b.needs_grad
         )
 
+    def lstm_cell(self, pre: Node, c_prev: Node, hidden: int) -> tuple[Node, Node]:
+        """One LSTM state update from the stacked gate preactivations.
+
+        ``pre`` holds the i, f, o and g preactivations along axis 0, each
+        ``hidden`` rows; ``c_prev`` has the shape of one of them. Records
+        c_t = f*c_prev + i*g and then h_t = o*tanh(c_t), with i, f, o
+        sigmoids and g a tanh (Shi et al., arXiv 1506.04214, eq. 3), and
+        returns (c_t, h_t).
+
+        The VJPs evaluate the same products in the same order as the unfused
+        slice0/sigmoid/tanh/mul/add composition, so gradients match it bit
+        for bit. h_t's VJP leaves the o-gate gradient for c_t's VJP,
+        which always runs after it and writes all four gates' gradients into
+        one array.
+        """
+        if pre.value.shape[0] != 4 * hidden:
+            raise T.ShapeError(
+                "lstm_cell", "gates", f"expected {4 * hidden} rows, got {pre.value.shape[0]}"
+            )
+        gates = T.map_sigmoid(pre.value[: 3 * hidden])
+        i, f, o = gates[:hidden], gates[hidden : 2 * hidden], gates[2 * hidden :]
+        g = T.map_tanh(pre.value[3 * hidden :])
+        c_out = T.add(T.hadamard(f, c_prev.value), T.hadamard(i, g))
+        tanh_c = T.map_tanh(c_out)
+        h_out = T.hadamard(o, tanh_c)
+        o_grad = [0.0]  # h_t's VJP sets it; c_t's VJP takes it and resets it
+
+        def c_vjp(gc):
+            go, o_grad[0] = o_grad[0], 0.0
+            gpre = None
+            if pre.needs_grad:
+                gpre = np.empty_like(pre.value)
+                gpre[:hidden] = gc * g * i * (1.0 - i)
+                gpre[hidden : 2 * hidden] = gc * c_prev.value * f * (1.0 - f)
+                gpre[2 * hidden : 3 * hidden] = go
+                gpre[3 * hidden :] = gc * i * (1.0 - g * g)
+            return gpre, (gc * f if c_prev.needs_grad else None)
+
+        def h_vjp(gh):
+            o_grad[0] = gh * tanh_c * o * (1.0 - o)
+            return (gh * o * (1.0 - tanh_c * tanh_c),)
+
+        needs = pre.needs_grad or c_prev.needs_grad
+        c_t = self._record(c_out, "lstm_cell", (pre, c_prev), c_vjp, needs)
+        h_t = self._record(h_out, "lstm_cell", (c_t,), h_vjp, c_t.needs_grad)
+        return c_t, h_t
+
     def abs(self, x: Node) -> Node:
         out = np.abs(x.value)
         return self._unary("abs", x, out, lambda g: (g * np.sign(x.value),))
@@ -262,7 +309,12 @@ class Tape:
         return float(loss.value[0])
 
     def backward(self) -> dict[str, np.ndarray]:
-        """Gradient of the terminal loss for every registered parameter."""
+        """Gradient of the terminal loss for every registered parameter.
+
+        A node's gradient is dropped as soon as its VJP has consumed it, so
+        only the parameter leaves hold ``grad`` afterwards; the node values
+        and VJPs stay, and ``backward`` can run again on the same tape.
+        """
         if not self._forward_done:
             raise GraphError("backward called before forward")
         for node in self.nodes:
@@ -278,10 +330,11 @@ class Tape:
             acc = node._pending[-1]
             for contrib in reversed(node._pending[:-1]):
                 acc = acc + contrib
-            node.grad = acc
+            node._pending = []
             if node.vjp is None:
+                node.grad = acc
                 continue
-            for parent, contrib in zip(node.parents, node.vjp(node.grad)):
+            for parent, contrib in zip(node.parents, node.vjp(acc)):
                 if contrib is not None and parent.needs_grad:
                     parent._pending.append(contrib)
         return {

@@ -266,13 +266,7 @@ def _fused_step(tape: Tape, fused: tuple, hidden: int, x: Node, state: CellState
         pre = tape.add(tape.conv2d(x, wx, b), tape.conv2d(state.h, wh))
     else:
         pre = tape.add(tape.affine(x, wx, b), tape.affine(state.h, wh))
-    gates = tape.sigmoid(tape.slice0(pre, 0, 3 * hidden))
-    i = tape.slice0(gates, 0, hidden)
-    f = tape.slice0(gates, hidden, 2 * hidden)
-    o = tape.slice0(gates, 2 * hidden, 3 * hidden)
-    g = tape.tanh(tape.slice0(pre, 3 * hidden, 4 * hidden))
-    c_t = tape.add(tape.mul(f, state.c), tape.mul(i, g))
-    h_t = tape.mul(o, tape.tanh(c_t))
+    c_t, h_t = tape.lstm_cell(pre, state.c, hidden)
     return CellState(h=h_t, c=c_t)
 
 
@@ -503,7 +497,8 @@ def load_checkpoint(path: str) -> Model:
         name = r.take_bytes(name_len).decode("utf-8")
         (rank,) = r.take("<I")
         shape = r.take(f"<{rank}I")
-        n_vals = int(np.prod(shape)) if rank else 1
+        # Python ints: np.prod would wrap extents such as (2**32-1, 2**32-1)
+        n_vals = math.prod(shape)
         raw = r.take_bytes(8 * n_vals)
         named[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if r.pos != len(r.data):

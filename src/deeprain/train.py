@@ -35,13 +35,19 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite loss encountered during training."""
+    """Non-finite loss, or non-finite validation RMSE, during training.
 
-    def __init__(self, epoch: int, batch: int, loss: float):
+    ``batch`` is None when the value is the epoch's validation RMSE.
+    """
+
+    def __init__(self, epoch: int, batch: int | None, loss: float):
         self.epoch = epoch
         self.batch = batch
         self.loss = loss
-        super().__init__(f"non-finite loss {loss} at epoch {epoch}, batch {batch}")
+        if batch is None:
+            super().__init__(f"non-finite validation RMSE {loss} at epoch {epoch}")
+        else:
+            super().__init__(f"non-finite loss {loss} at epoch {epoch}, batch {batch}")
 
 
 @dataclass
@@ -184,6 +190,8 @@ def train(
             cfg.threads,
         )
         val_rmse = rmse(val_preds, [labels[i] for i in dataset_split.validation])
+        if not math.isfinite(val_rmse):
+            raise DivergenceError(epoch, None, val_rmse)
         train_rmse = rmse(epoch_preds, epoch_truth)
         seconds = (time.perf_counter() - started) if cfg.timing else 0.0
         result.stats.append(EpochStats(epoch, train_rmse, val_rmse, seconds))

@@ -3,7 +3,8 @@ import pytest
 
 from deeprain.autodiff import GradCheckEntry, GradCheckReport, GraphError, Tape, _rel_err, grad_check
 from deeprain.data import SynthConfig, synth_generate
-from deeprain.model import Model, ModelSpec, build_prediction, init_params, preprocess
+from deeprain.model import Model, ModelSpec, build_prediction, init_params, lift, preprocess
+from deeprain.tensor import ShapeError
 
 
 def scalar(v):
@@ -217,6 +218,16 @@ def _primitive_cases(rng):
         {"x": rng.normal(0, 1, 5)},
         lambda tp, p: tp.scale(tp.param("x", p["x"]), -0.75),
     )
+    # Both outputs go into the loss, so c_t's gradient arrives from outside
+    # as well as through h_t.
+    cases["lstm_cell_maps"] = (
+        {"pre": rng.normal(0, 1, (8, 2, 3)), "c": rng.normal(0, 1, (2, 2, 3))},
+        lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"]), 2))),
+    )
+    cases["lstm_cell_vectors"] = (
+        {"pre": rng.normal(0, 1, 12), "c": rng.normal(0, 1, 3)},
+        lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"]), 3))),
+    )
     return cases
 
 
@@ -292,3 +303,82 @@ def test_benchmark_geometry_batch_loss_matches_finite_differences(kind, stacks):
             worst = max(worst, _rel_err(float(analytic[name][idx]), (lp - lm) / (2.0 * step)))
         report.entries.append(GradCheckEntry(name, worst, worst <= report.tol))
     assert report.passed, report.render()
+
+
+def _unfused_lstm_cell(tape, pre, c_prev, hidden):
+    """The gate chain of one LSTM step, from the primitive tape ops."""
+    gates = tape.sigmoid(tape.slice0(pre, 0, 3 * hidden))
+    i = tape.slice0(gates, 0, hidden)
+    f = tape.slice0(gates, hidden, 2 * hidden)
+    o = tape.slice0(gates, 2 * hidden, 3 * hidden)
+    g = tape.tanh(tape.slice0(pre, 3 * hidden, 4 * hidden))
+    c_t = tape.add(tape.mul(f, c_prev), tape.mul(i, g))
+    return c_t, tape.mul(o, tape.tanh(c_t))
+
+
+@pytest.mark.parametrize("conv", [True, False], ids=["maps", "vectors"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lstm_cell_matches_unfused_composition_bitwise(seed, conv):
+    rng = np.random.default_rng(seed)
+    hidden = 3
+    if conv:
+        xs = [rng.normal(0, 1, (2, 5, 5)) for _ in range(2)]
+        wx = rng.normal(0, 0.6, (4 * hidden, 2, 3, 3))
+        wh = rng.normal(0, 0.6, (4 * hidden, hidden, 3, 3))
+        state_shape = (hidden, 5, 5)
+    else:
+        xs = [rng.normal(0, 1, 4) for _ in range(2)]
+        wx = rng.normal(0, 0.6, (4 * hidden, 4))
+        wh = rng.normal(0, 0.6, (4 * hidden, hidden))
+        state_shape = (hidden,)
+    params = {"wx": wx, "wh": wh, "b": rng.normal(0, 0.5, 4 * hidden)}
+    targets = [rng.normal(0, 1, hidden) for _ in xs]
+
+    def run(cell):
+        tape = Tape()
+        wx, wh, b = (tape.param(name, params[name]) for name in ("wx", "wh", "b"))
+        h = tape.const(np.zeros(state_shape))
+        c = tape.const(np.zeros(state_shape))
+        losses = []
+        # Every step's h feeds the next step and the loss, and every c feeds
+        # its h and the next step: the fan-outs of a stacked encoder.
+        for x, y in zip(xs, targets):
+            if conv:
+                pre = tape.add(tape.conv2d(tape.const(x), wx, b), tape.conv2d(h, wh))
+                c, h = cell(tape, pre, c, hidden)
+                out = tape.global_avg_pool(h)
+            else:
+                pre = tape.add(tape.affine(tape.const(x), wx, b), tape.affine(h, wh))
+                c, h = cell(tape, pre, c, hidden)
+                out = h
+            losses.append(tape.squared_error(out, tape.const(y)))
+        tape.mean_scalars(losses)
+        loss = tape.forward()
+        first = {n: g.tobytes() for n, g in tape.backward().items()}
+        second = {n: g.tobytes() for n, g in tape.backward().items()}
+        assert first == second
+        return h.value.tobytes(), c.value.tobytes(), loss, first
+
+    fused = run(lambda tape, pre, c, hidden: tape.lstm_cell(pre, c, hidden))
+    assert fused == run(_unfused_lstm_cell)
+
+
+def test_backward_leaves_gradients_on_parameters_only():
+    spec = ModelSpec("conv-lstm", stacks=2, hidden=2, in_t=3, in_c=1, in_h=4, in_w=4)
+    frames = np.random.default_rng(3).integers(0, 256, (3, 1, 4, 4))
+    tape = Tape()
+    pred = build_prediction(tape, lift(tape, init_params(spec, 3)), preprocess(frames, spec))
+    tape.squared_error(pred, tape.const(scalar(0.5)))
+    tape.forward()
+    grads = tape.backward()
+    for node in tape.nodes:
+        assert not node._pending
+        if node.op != "param":
+            assert node.grad is None
+    assert all(grads[name] is p.grad for name, p in tape.params.items())
+
+
+def test_lstm_cell_rejects_wrong_gate_rows():
+    tape = Tape()
+    with pytest.raises(ShapeError, match="lstm_cell"):
+        tape.lstm_cell(tape.const(np.zeros(6)), tape.const(np.zeros(2)), 2)

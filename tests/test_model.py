@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -431,6 +432,18 @@ class TestCheckpoint:
         spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
         save_checkpoint(str(path), init_params(spec, 0))
         path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_overflowing_tensor_extents_rejected(self, tmp_path):
+        # (2**32-1)**2 elements wrap around in int64 arithmetic
+        path = tmp_path / "model.drnp"
+        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        save_checkpoint(str(path), init_params(spec, 0))
+        raw = bytearray(path.read_bytes())
+        shape_at = raw.index(b"linear.weight") + len(b"linear.weight") + 4  # past the rank
+        raw[shape_at : shape_at + 8] = struct.pack("<2I", 2**32 - 1, 2**32 - 1)
+        path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 

@@ -130,6 +130,17 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="epoch"):
             train(cfg, records, sp)
 
+    def test_non_finite_validation_rmse_aborts(self):
+        # one batch holds every training record: its loss is finite, and the
+        # update it makes sends every validation prediction to inf
+        records, sp = tiny_dataset(count=40, seed=13)
+        cfg = TrainConfig(
+            model=ModelSpec("linear", **TINY), optimizer="gd", lr=1e200, batch_size=60,
+            max_epochs=1, early_stop_patience=1, seed=13,
+        )
+        with pytest.raises(DivergenceError, match="validation RMSE"):
+            train(cfg, records, sp)
+
     def test_requires_nonempty_split(self):
         records, sp = tiny_dataset(count=10)
         sp.validation = []
@@ -228,3 +239,9 @@ class TestEmitCurve:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no stats"):
             emit_curve([], str(tmp_path / "x.csv"))
+
+
+def test_package_attribute_is_the_train_module():
+    import deeprain.train as module
+
+    assert module.train is train
