@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Train the criterion-8 fixture through the CLI and print the SHA-256 of
+its learning-curve CSV and of its DRNP checkpoint.
+
+Usage: python3 scripts/fixture_digest.py
+
+The fixture is the one acceptance criterion 8 trains: 60 synthetic 3x1x6x6
+records (config seed 8), a 1x4 ConvLSTM, 3 epochs, batch 10, seed 17. Two
+checkouts that print the same two hashes train bit-identical artifacts.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from deeprain.cli import main as cli_main
+from deeprain.data import SynthConfig, synth_generate, write_binary
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "fixture.drn1")
+        curve = os.path.join(tmp, "curve.csv")
+        ckpt = os.path.join(tmp, "model.drnp")
+        write_binary(synth_generate(SynthConfig(count=60, t=3, c=1, h=6, w=6, noise=0.05, seed=8)), data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([
+                "train", "--data", data, "--model", "conv-lstm", "--stacks", "1",
+                "--hidden", "4", "--epochs", "3", "--batch", "10", "--seed", "17",
+                "--curve", curve, "--ckpt", ckpt,
+            ])
+        if code != 0:
+            print(f"training failed with exit code {code}", file=sys.stderr)
+            return code
+        for name, path in (("curve", curve), ("checkpoint", ckpt)):
+            with open(path, "rb") as fh:
+                print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -75,7 +75,12 @@ class Tape:
     # -- primitives ------------------------------------------------------
 
     def conv2d(self, x: Node, kernels: Node, bias: Node | None = None) -> Node:
-        out, cols = T._conv2d_parts(x.value, kernels.value)
+        """Same-padded convolution of a [C,H,W] node (see ``tensor.conv2d``).
+
+        The VJP rebuilds the im2col columns from ``x.value`` when the kernel
+        gradient needs them, so the tape keeps no column matrix.
+        """
+        out = T._conv2d_parts(x.value, kernels.value)
         c, h, w = x.value.shape
         o, _, kh, kw = kernels.value.shape
         if bias is not None:
@@ -85,20 +90,14 @@ class Tape:
                 )
             out = out + bias.value[:, None, None]
         kmat = kernels.value.reshape(o, c * kh * kw)
-        ph, pw = kh // 2, kw // 2
 
         def vjp(g):
             gm = g.reshape(o, h * w)
             gx = gk = gb = None
             if x.needs_grad:
-                dcols = (kmat.T @ gm).reshape(c, kh, kw, h, w)
-                dpad = np.zeros((c, h + 2 * ph, w + 2 * pw))
-                for dy in range(kh):
-                    for dx in range(kw):
-                        dpad[:, dy : dy + h, dx : dx + w] += dcols[:, dy, dx]
-                gx = dpad[:, ph : ph + h, pw : pw + w]
+                gx = T._col2im(kmat.T @ gm, c, kh, kw, h, w)
             if kernels.needs_grad:
-                gk = (gm @ cols.T).reshape(o, c, kh, kw)
+                gk = (gm @ T._im2col(x.value, kh, kw).T).reshape(o, c, kh, kw)
             if bias is not None and bias.needs_grad:
                 gb = g.sum(axis=(1, 2))
             return (gx, gk) if bias is None else (gx, gk, gb)

@@ -479,30 +479,42 @@ def load_checkpoint(path: str) -> Model:
     if kind_code >= len(KINDS):
         raise CheckpointError(f"unknown model kind code {kind_code}")
     stacks, hidden, kernel, pool, t, c, h, w = r.take("<8I")
-    spec = ModelSpec(
-        kind=KINDS[kind_code],
-        stacks=stacks,
-        hidden=hidden,
-        kernel=kernel,
-        pool_factor=pool,
-        in_t=t,
-        in_c=c,
-        in_h=h,
-        in_w=w,
-    )
+    try:
+        spec = ModelSpec(
+            kind=KINDS[kind_code],
+            stacks=stacks,
+            hidden=hidden,
+            kernel=kernel,
+            pool_factor=pool,
+            in_t=t,
+            in_c=c,
+            in_h=h,
+            in_w=w,
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"invalid model spec: {exc}") from None
     (count,) = r.take("<I")
     named: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.take("<I")
-        name = r.take_bytes(name_len).decode("utf-8")
+        try:
+            name = r.take_bytes(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not UTF-8") from None
         (rank,) = r.take("<I")
         shape = r.take(f"<{rank}I")
         # Python ints: np.prod would wrap extents such as (2**32-1, 2**32-1)
         n_vals = math.prod(shape)
         raw = r.take_bytes(8 * n_vals)
-        named[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        try:
+            named[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        except ValueError:  # over 64 axes, or an empty shape too large to index
+            raise CheckpointError(f"tensor {name}: unusable shape {shape}") from None
     if r.pos != len(r.data):
         raise CheckpointError("trailing bytes after last tensor")
+    # every stack owns tensors, so this bounds param_shapes by the file size
+    if spec.kind != "linear" and spec.stacks > len(named):
+        raise CheckpointError(f"{spec.stacks} stacks, but only {len(named)} tensors")
     expected = param_shapes(spec)
     if set(named) != set(expected):
         missing = sorted(set(expected) - set(named))

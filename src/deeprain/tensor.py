@@ -49,26 +49,47 @@ def as_tensor(values, shape=None) -> np.ndarray:
     return arr
 
 
-def _im2col(padded: np.ndarray, kh: int, kw: int, h: int, w: int) -> np.ndarray:
-    """Stack the kh*kw shifted views of a padded [C,H+2p,W+2p] map.
+def _im2col(input: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Column matrix [C*kh*kw, H*W] of a zero-padded [C,H,W] map.
 
-    Returns [C, kh, kw, H, W]; the (c, dy, dx) index order of this layout is
-    the fixed summation order of conv2d.
+    Row (c, dy, dx) holds the map shifted by (dy - kh//2, dx - kw//2); this
+    index order is the fixed summation order of conv2d. One strided view
+    [C,kh,kw,H,W] over the padded map, copied once.
     """
-    c = padded.shape[0]
-    cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, dy, dx] = padded[:, dy : dy + h, dx : dx + w]
-    return cols
+    c, h, w = input.shape
+    ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, w + 2 * pw
+    padded = np.zeros((c, hp, wp), dtype=np.float64)
+    padded[:, ph : ph + h, pw : pw + w] = input
+    s = padded.itemsize
+    windows = np.ndarray(
+        (c, kh, kw, h, w), np.float64, padded, 0, (hp * wp * s, wp * s, s, wp * s, s)
+    )
+    return windows.copy().reshape(c * kh * kw, h * w)
 
 
-def _conv2d_parts(input: np.ndarray, kernels: np.ndarray):
-    """Shared forward machinery: validate, pad, im2col, multiply.
+def _col2im(dcols: np.ndarray, c: int, kh: int, kw: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of _im2col: sum the kh*kw shifted windows back onto [C,H,W].
 
-    Returns (out_without_bias, cols_matrix) so callers that also need the
-    backward pass can reuse the column matrix.
+    Window (dy, dx) lands in its own slab of a zeroed [kh*kw,C,H+2p,W+2p]
+    buffer through one strided view; the slabs are then summed from +0.0 in
+    (dy, dx) order, as a loop of in-place adds into a zeroed map would.
     """
+    ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, w + 2 * pw
+    buf = np.zeros((kh * kw, c, hp, wp), dtype=np.float64)
+    s = buf.itemsize
+    slab = c * hp * wp * s
+    windows = np.ndarray(
+        (c, kh, kw, h, w), np.float64, buf, 0,
+        (hp * wp * s, kw * slab + wp * s, slab + s, wp * s, s),
+    )
+    windows[...] = dcols.reshape(c, kh, kw, h, w)
+    return np.add.reduce(buf, axis=0, initial=0.0)[:, ph : ph + h, pw : pw + w]
+
+
+def _conv2d_parts(input: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Shared forward machinery: validate, im2col, multiply; no bias."""
     if input.ndim != 3:
         raise ShapeError("conv2d", "input", f"expected rank 3, got rank {input.ndim}")
     if kernels.ndim != 4:
@@ -81,12 +102,8 @@ def _conv2d_parts(input: np.ndarray, kernels: np.ndarray):
         )
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv2d", "kernel extent", f"extents must be odd, got {kh}x{kw}")
-    ph, pw = kh // 2, kw // 2
-    padded = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    padded[:, ph : ph + h, pw : pw + w] = input
-    cols = _im2col(padded, kh, kw, h, w).reshape(c * kh * kw, h * w)
-    out = (kernels.reshape(o, c * kh * kw) @ cols).reshape(o, h, w)
-    return out, cols
+    cols = _im2col(input, kh, kw)
+    return (kernels.reshape(o, c * kh * kw) @ cols).reshape(o, h, w)
 
 
 def conv2d(
@@ -104,7 +121,7 @@ def conv2d(
     o = kernels.shape[0]
     if bias is not None and bias.shape != (o,):
         raise ShapeError("conv2d", "bias", f"expected shape ({o},), got {bias.shape}")
-    out, _ = _conv2d_parts(input, kernels)
+    out = _conv2d_parts(input, kernels)
     if bias is not None:
         out = out + bias[:, None, None]
     return out
@@ -134,13 +151,13 @@ def map_sigmoid(t: np.ndarray) -> np.ndarray:
     double so the open-interval contract holds for all finite inputs.
     """
     e = np.exp(-np.abs(t))
-    out = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.clip(out, _TINY, _ONE_MINUS)
+    out = np.where(t >= 0, 1.0, e) / (1.0 + e)
+    return np.minimum(np.maximum(out, _TINY), _ONE_MINUS)
 
 
 def map_tanh(t: np.ndarray) -> np.ndarray:
     """Elementwise tanh, pinned strictly inside (-1, 1)."""
-    return np.clip(np.tanh(t), -_ONE_MINUS, _ONE_MINUS)
+    return np.minimum(np.maximum(np.tanh(t), -_ONE_MINUS), _ONE_MINUS)
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from deeprain.autodiff import GradCheckEntry, GradCheckReport, GraphError, Tape, _rel_err, grad_check
 from deeprain.data import SynthConfig, synth_generate
 from deeprain.model import Model, ModelSpec, build_prediction, init_params, lift, preprocess
+from deeprain import tensor as T
 from deeprain.tensor import ShapeError
 
 
@@ -382,3 +383,89 @@ def test_lstm_cell_rejects_wrong_gate_rows():
     tape = Tape()
     with pytest.raises(ShapeError, match="lstm_cell"):
         tape.lstm_cell(tape.const(np.zeros(6)), tape.const(np.zeros(2)), 2)
+
+
+def _loop_conv2d(x, k, b, g):
+    """conv2d's value and gradients with the column matrix built and summed
+    back by one slice-copy or in-place add per kernel offset (dy, dx)."""
+    c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    padded[:, ph : ph + h, pw : pw + w] = x
+    cols = np.empty((c, kh, kw, h, w))
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = padded[:, dy : dy + h, dx : dx + w]
+    cols = cols.reshape(c * kh * kw, h * w)
+    kmat = k.reshape(o, c * kh * kw)
+    out = (kmat @ cols).reshape(o, h, w) + b[:, None, None]
+    gm = g.reshape(o, h * w)
+    dcols = (kmat.T @ gm).reshape(c, kh, kw, h, w)
+    dpad = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    for dy in range(kh):
+        for dx in range(kw):
+            dpad[:, dy : dy + h, dx : dx + w] += dcols[:, dy, dx]
+    gx = dpad[:, ph : ph + h, pw : pw + w]
+    gk = (gm @ cols.T).reshape(o, c, kh, kw)
+    return out, gx, gk, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "c, o, kh, kw, h, w, grad",
+    [
+        (2, 3, 1, 1, 4, 6, "normal"),
+        (3, 2, 3, 3, 5, 7, "normal"),
+        (1, 4, 3, 3, 6, 6, "normal"),
+        (2, 2, 5, 5, 7, 4, "normal"),
+        (1, 2, 3, 5, 3, 8, "normal"),
+        (2, 3, 3, 3, 4, 5, "zero"),
+        (2, 3, 5, 3, 5, 4, "signed zeros"),
+        (1, 1, 1, 1, 3, 4, "signed zeros"),
+    ],
+)
+def test_conv2d_matches_loop_im2col_bitwise(c, o, kh, kw, h, w, grad):
+    rng = np.random.default_rng(c * 100 + kh * 10 + kw)
+    x = rng.normal(0, 1, (c, h, w))
+    k = rng.normal(0, 1, (o, c, kh, kw))
+    b = rng.normal(0, 1, o)
+    g = {
+        "normal": rng.normal(0, 1, (o, h, w)),
+        "zero": np.zeros((o, h, w)),
+        "signed zeros": np.where(rng.random((o, h, w)) < 0.5, -0.0, 0.0),
+    }[grad]
+    x[0, 0, 0] = -0.0
+    tape = Tape()
+    node = tape.conv2d(tape.param("x", x), tape.param("k", k), tape.param("b", b))
+    columns = c * kh * kw * h * w
+
+    def held_sizes():
+        cells = [cell.cell_contents for cell in node.vjp.__closure__ or ()]
+        return [a.size for a in cells if isinstance(a, np.ndarray)]
+
+    assert columns not in held_sizes()
+    got = (node.value, *node.vjp(g))
+    assert columns not in held_sizes()
+    want = _loop_conv2d(x, k, b, g)
+    for name, a, e in zip(("value", "gx", "gk", "gb"), got, want):
+        assert a.shape == e.shape, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(e).tobytes(), name
+
+
+@pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (5, 3)])
+def test_col2im_sums_from_positive_zero_in_offset_order(kh, kw):
+    # the VJP GEMM sums from +0.0 and yields no -0.0, so feed _col2im directly
+    c, h, w = 2, 4, 5
+    rng = np.random.default_rng(kh * 10 + kw)
+    dcols = rng.normal(0, 1, (c, kh, kw, h, w))
+    dcols[rng.random(dcols.shape) < 0.4] = -0.0
+    dcols[0, 0, 0, 1, 1] = 1e308  # order-dependent overflow with the next one
+    dcols[0, -1, -1, 1, 1] = 1e308
+    ph, pw = kh // 2, kw // 2
+    dpad = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    for dy in range(kh):
+        for dx in range(kw):
+            dpad[:, dy : dy + h, dx : dx + w] += dcols[:, dy, dx]
+    want = dpad[:, ph : ph + h, pw : pw + w]
+    got = T._col2im(dcols.reshape(c * kh * kw, h * w), c, kh, kw, h, w)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()

@@ -447,6 +447,63 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    @staticmethod
+    def _corrupt_header_field(tmp_path, field: int, value: int):
+        """Save a small conv-lstm checkpoint, then overwrite one u32 of the
+        eight after kind (0 stacks, 1 hidden, 2 kernel, 3 pool_factor, ...)."""
+        path = tmp_path / "model.drnp"
+        spec = ModelSpec("conv-lstm", stacks=1, hidden=2, in_t=1, in_c=1, in_h=3, in_w=3)
+        save_checkpoint(str(path), init_params(spec, 0))
+        raw = bytearray(path.read_bytes())
+        at = struct.calcsize("<4sIB") + 4 * field
+        raw[at : at + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    def test_zero_stacks_rejected(self, tmp_path):
+        path = self._corrupt_header_field(tmp_path, 0, 0)
+        with pytest.raises(CheckpointError, match="stacks"):
+            load_checkpoint(str(path))
+
+    def test_zero_pool_factor_rejected(self, tmp_path):
+        path = self._corrupt_header_field(tmp_path, 3, 0)
+        with pytest.raises(CheckpointError, match="pool_factor"):
+            load_checkpoint(str(path))
+
+    def test_even_conv_kernel_rejected(self, tmp_path):
+        path = self._corrupt_header_field(tmp_path, 2, 4)
+        with pytest.raises(CheckpointError, match="kernel"):
+            load_checkpoint(str(path))
+
+    def test_stack_count_beyond_the_tensors_rejected(self, tmp_path):
+        # 2**31 stacks would size a 2**31-stack parameter table from a 1 KB file
+        path = self._corrupt_header_field(tmp_path, 0, 2**31)
+        with pytest.raises(CheckpointError, match="stacks"):
+            load_checkpoint(str(path))
+
+    def test_empty_tensor_with_unindexable_extents_rejected(self, tmp_path):
+        path = tmp_path / "model.drnp"
+        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        save_checkpoint(str(path), init_params(spec, 0))
+        raw = path.read_bytes()
+        rank_at = raw.index(b"linear.weight") + len(b"linear.weight")
+        values_end = rank_at + 4 + 2 * 4 + 4 * 8  # rank 2, shape (1, 4)
+        empty = struct.pack("<5I", 4, 0, 2**31, 2**31, 2**31)  # zero elements
+        path.write_bytes(raw[:rank_at] + empty + raw[values_end:])
+        with pytest.raises(CheckpointError, match="unusable shape"):
+            load_checkpoint(str(path))
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.drnp"
+        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        save_checkpoint(str(path), init_params(spec, 0))
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"linear.weight")
+        raw[at] = 0xFF  # never valid in UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.drnp"
         spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)

@@ -125,6 +125,35 @@ class TestElementwise:
         assert np.all((t > -1.0) & (t < 1.0))
         assert s.shape == v.shape and t.shape == v.shape
 
+    def test_gate_maps_equal_the_clip_formulas_bytewise(self):
+        # the np.clip / two-branch formulas that map_sigmoid and map_tanh
+        # replaced; the current ones must give the same bytes
+        one_minus = np.nextafter(1.0, 0.0)
+        tiny = np.finfo(np.float64).tiny
+
+        def clip_sigmoid(t):
+            e = np.exp(-np.abs(t))
+            out = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            return np.clip(out, tiny, one_minus)
+
+        def clip_tanh(t):
+            return np.clip(np.tanh(t), -one_minus, one_minus)
+
+        sub = np.nextafter(0.0, 1.0)
+        special = arr([0.0, -0.0, sub, -sub, 4 * sub, -tiny, tiny, 745.0, -745.0,
+                       744.5, -744.5, 36.7, -36.7, 19.1, -19.1, np.inf, -np.inf])
+        rng = np.random.default_rng(5)
+        values = np.concatenate([special, rng.standard_normal(500) * 30.0,
+                                 rng.standard_normal(500) * 1e-300])
+        for new, old in ((map_sigmoid, clip_sigmoid), (map_tanh, clip_tanh)):
+            for v in (values, values[:600].reshape(2, 3, 100)[:, :, ::2], arr([np.nan, 1.0])):
+                got, want = new(v), old(v)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert np.isnan(map_sigmoid(arr([np.nan]))[0])
+        assert np.isnan(map_tanh(arr([np.nan]))[0])
+
     def test_hadamard(self):
         assert np.array_equal(hadamard(arr([1, 2]), arr([3, 4])), arr([3, 8]))
 
