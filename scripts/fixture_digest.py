@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Train the criterion-8 fixture through the CLI and print the SHA-256 of
-its learning-curve CSV and of its DRNP checkpoint.
+its learning-curve CSV and of its DRNP checkpoint, then the SHA-256 of the
+``deeprain gradcheck --seed 42`` output for each model kind.
 
 Usage: python3 scripts/fixture_digest.py
 
 The fixture is the one acceptance criterion 8 trains: 60 synthetic 3x1x6x6
-records (config seed 8), a 1x4 ConvLSTM, 3 epochs, batch 10, seed 17. Two
-checkouts that print the same two hashes train bit-identical artifacts.
+records (config seed 8), a 1x4 ConvLSTM, 3 epochs, batch 10, seed 17. The
+gradcheck runs cover linear, and FC-LSTM and ConvLSTM at 1 and 2 stacks
+(the linear model has no stacks). Two checkouts that print the same hashes
+train bit-identical artifacts and compute bit-identical gradients.
 """
 
 import contextlib
@@ -20,6 +23,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from deeprain.cli import main as cli_main
 from deeprain.data import SynthConfig, synth_generate, write_binary
+
+GRADCHECKS = (("linear", 1), ("fc-lstm", 1), ("fc-lstm", 2), ("conv-lstm", 1), ("conv-lstm", 2))
 
 
 def main() -> int:
@@ -40,6 +45,14 @@ def main() -> int:
         for name, path in (("curve", curve), ("checkpoint", ckpt)):
             with open(path, "rb") as fh:
                 print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
+    for kind, stacks in GRADCHECKS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["gradcheck", "--model", kind, "--stacks", str(stacks), "--seed", "42"])
+        if code != 0:
+            print(f"gradcheck {kind} x{stacks} failed with exit code {code}", file=sys.stderr)
+            return code
+        print(f"gradcheck {kind} x{stacks} {hashlib.sha256(out.getvalue().encode()).hexdigest()}")
     return 0
 
 

@@ -228,14 +228,6 @@ class Tape:
         h_t = self._record(h_out, "lstm_cell", (c_t,), h_vjp, c_t.needs_grad)
         return c_t, h_t
 
-    def abs(self, x: Node) -> Node:
-        out = np.abs(x.value)
-        return self._unary("abs", x, out, lambda g: (g * np.sign(x.value),))
-
-    def scale(self, x: Node, c: float) -> Node:
-        out = x.value * c
-        return self._unary("scale", x, out, lambda g: (g * c,))
-
     def global_avg_pool(self, x: Node) -> Node:
         out = T.global_avg_pool(x.value)
         _, h, w = x.value.shape
@@ -244,23 +236,6 @@ class Tape:
             return (np.broadcast_to(g[:, None, None] / (h * w), x.value.shape),)
 
         return self._unary("global_avg_pool", x, out, vjp)
-
-    def avg_pool2d(self, x: Node, factor: int) -> Node:
-        out = T.avg_pool2d(x.value, factor)
-        c, h, w = x.value.shape
-
-        def vjp(g):
-            if factor == 1:
-                return (g,)
-            ys = np.arange(0, h, factor)
-            xs = np.arange(0, w, factor)
-            hc = np.minimum(ys + factor, h) - ys
-            wc = np.minimum(xs + factor, w) - xs
-            scaled = g / (hc[:, None] * wc[None, :])
-            up = np.repeat(np.repeat(scaled, factor, axis=1), factor, axis=2)
-            return (up[:, :h, :w],)
-
-        return self._unary("avg_pool2d", x, out, vjp)
 
     def squared_error(self, pred: Node, target: Node) -> Node:
         """Sum of elementwise squared differences, as a [1] scalar node."""

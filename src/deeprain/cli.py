@@ -10,9 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .autodiff import Tape, grad_check
 from .data import (
     DataFormatError,
     load_synth_config,
@@ -24,12 +21,9 @@ from .data import (
 )
 from .model import (
     CheckpointError,
-    Model,
     ModelSpec,
-    build_prediction,
-    init_params,
+    gradcheck_model,
     load_checkpoint,
-    preprocess,
     save_checkpoint,
 )
 from .selftest import run_checks
@@ -235,20 +229,7 @@ def cmd_gradcheck(args) -> int:
         in_h=5,
         in_w=5,
     )
-    rng = np.random.default_rng(args.seed)
-    frames = rng.integers(0, 256, (spec.in_t, spec.in_c, spec.in_h, spec.in_w))
-    inputs = preprocess(frames, spec)
-    target = np.array([float(rng.uniform(0.0, 5.0))])
-    params = init_params(spec, seed=args.seed).named_parameters()
-
-    def loss_fn(values):
-        tape = Tape()
-        nodes = {name: tape.param(name, arr) for name, arr in values.items()}
-        pred = build_prediction(tape, Model.from_named(spec, nodes), inputs)
-        tape.squared_error(pred, tape.const(target))
-        return tape
-
-    report = grad_check(loss_fn, params, step=1e-3, tol=1e-4)
+    report = gradcheck_model(spec, args.seed)
     print(report.render())
     if not report.passed:
         print("gradcheck: FAIL")

@@ -127,14 +127,18 @@ def parse_text_record(line: str, dims: tuple, line_no: int | None = None) -> Rad
         ) from None
     try:
         values = np.array(tokens[1:], dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
         for i, tok in enumerate(tokens[1:], start=1):
             try:
-                int(tok)
+                value = int(tok)
             except ValueError:
                 raise DataFormatError(
                     f"value {tok!r} is not an integer", line_no=line_no, token_index=i
                 ) from None
+            if not 0 <= value <= 255:
+                raise DataFormatError(
+                    f"reflectivity {tok} outside [0, 255]", line_no=line_no, token_index=i
+                )
         raise
     bad = np.nonzero((values < 0) | (values > 255))[0]
     if bad.size:
@@ -276,8 +280,8 @@ class SynthConfig:
         for name in ("count", "t", "c", "h", "w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SynthConfig.{name} must be >= 1")
-        if self.noise < 0:
-            raise ValueError("SynthConfig.noise must be >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"SynthConfig.noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ValueError("SynthConfig.seed must be >= 0")
 
@@ -317,7 +321,10 @@ def load_synth_config(path: str) -> SynthConfig:
                 ) from None
     if "count" not in values:
         raise DataFormatError("config must set count")
-    return SynthConfig(**values)
+    try:
+        return SynthConfig(**values)
+    except ValueError as exc:
+        raise DataFormatError(f"invalid config: {exc}") from None
 
 
 def synth_feature(frames: np.ndarray) -> float:

@@ -11,15 +11,17 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import GradCheckReport, Node, Tape, grad_check
 from .tensor import ShapeError, avg_pool2d
 
 __all__ = [
     "ModelSpec",
+    "LstmCellParams",
+    "AffineParams",
     "ConvLstmCellParams",
     "FcLstmCellParams",
     "RegressionHeadParams",
@@ -28,6 +30,7 @@ __all__ = [
     "Model",
     "param_shapes",
     "init_params",
+    "lstm_cell_step",
     "convlstm_cell_step",
     "fclstm_cell_step",
     "encode_sequence",
@@ -36,6 +39,7 @@ __all__ = [
     "build_prediction",
     "lift",
     "predict",
+    "gradcheck_model",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -97,7 +101,13 @@ class ModelSpec:
 
 
 @dataclass
-class ConvLstmCellParams:
+class LstmCellParams:
+    """Gate weights and biases of one LSTM cell.
+
+    The rank of ``w_xi`` tells the kinds apart: [hidden,C,k,k] kernels for
+    a ConvLSTM cell, [hidden,D] matrices for an FC-LSTM cell.
+    """
+
     w_xi: object
     w_xf: object
     w_xo: object
@@ -113,31 +123,15 @@ class ConvLstmCellParams:
 
 
 @dataclass
-class FcLstmCellParams:
-    w_xi: object
-    w_xf: object
-    w_xo: object
-    w_xc: object
-    w_hi: object
-    w_hf: object
-    w_ho: object
-    w_hc: object
-    b_i: object
-    b_f: object
-    b_o: object
-    b_c: object
+class AffineParams:
+    """Weight and bias of the regression head or of the linear baseline."""
 
-
-@dataclass
-class RegressionHeadParams:
     weight: object
     bias: object
 
 
-@dataclass
-class LinearParams:
-    weight: object
-    bias: object
+ConvLstmCellParams = FcLstmCellParams = LstmCellParams
+RegressionHeadParams = LinearParams = AffineParams
 
 
 @dataclass
@@ -150,40 +144,19 @@ class CellState:
 
 @dataclass
 class Model:
+    """A spec plus its parameters, keyed and ordered as ``param_shapes(spec)``."""
+
     spec: ModelSpec
-    cells: list = field(default_factory=list)
-    head: RegressionHeadParams | None = None
-    linear: LinearParams | None = None
+    params: dict
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, cell in enumerate(self.cells):
-            for name in GATE_WEIGHTS + GATE_BIASES:
-                out[f"cell{i}.{name}"] = getattr(cell, name)
-        if self.head is not None:
-            out["head.weight"] = self.head.weight
-            out["head.bias"] = self.head.bias
-        if self.linear is not None:
-            out["linear.weight"] = self.linear.weight
-            out["linear.bias"] = self.linear.bias
-        return out
+        """A new dict over the model's own arrays (in-place updates land)."""
+        return dict(self.params)
 
     @classmethod
     def from_named(cls, spec: ModelSpec, named: dict) -> "Model":
-        cells = []
-        head = None
-        linear = None
-        if spec.kind == "linear":
-            linear = LinearParams(named["linear.weight"], named["linear.bias"])
-        else:
-            cell_cls = ConvLstmCellParams if spec.kind == "conv-lstm" else FcLstmCellParams
-            for i in range(spec.stacks):
-                fields = {
-                    name: named[f"cell{i}.{name}"] for name in GATE_WEIGHTS + GATE_BIASES
-                }
-                cells.append(cell_cls(**fields))
-            head = RegressionHeadParams(named["head.weight"], named["head.bias"])
-        return cls(spec=spec, cells=cells, head=head, linear=linear)
+        """Take ``spec``'s parameters from ``named`` in ``param_shapes`` order."""
+        return cls(spec, {name: named[name] for name in param_shapes(spec)})
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
@@ -260,55 +233,36 @@ def _fuse_gates(tape: Tape, p) -> tuple:
     return wx, wh, b
 
 
-def _fused_step(tape: Tape, fused: tuple, hidden: int, x: Node, state: CellState, conv: bool) -> CellState:
+def _fused_step(tape: Tape, fused: tuple, x: Node, state: CellState) -> CellState:
     wx, wh, b = fused
-    if conv:
+    if len(wx.shape) == 4:
         pre = tape.add(tape.conv2d(x, wx, b), tape.conv2d(state.h, wh))
     else:
         pre = tape.add(tape.affine(x, wx, b), tape.affine(state.h, wh))
-    c_t, h_t = tape.lstm_cell(pre, state.c, hidden)
+    c_t, h_t = tape.lstm_cell(pre, state.c, b.shape[0] // 4)
     return CellState(h=h_t, c=c_t)
 
 
-def _cell_step(tape: Tape, p, x: Node, state: CellState, conv: bool) -> CellState:
-    hidden = p.b_i.shape[0]
-    return _fused_step(tape, _fuse_gates(tape, p), hidden, x, state, conv)
-
-
-def convlstm_cell_step(tape: Tape, p: ConvLstmCellParams, x: Node, state: CellState) -> CellState:
+def lstm_cell_step(tape: Tape, p: LstmCellParams, x: Node, state: CellState) -> CellState:
+    """One cell step: a ConvLSTM step on a [C,H,W] input with [hidden,H,W]
+    state, or an FC-LSTM step on a [D] input with [hidden] state."""
     if x.shape[0] != p.w_xi.shape[1]:
         raise ShapeError(
-            "convlstm_cell_step",
-            "input gate / channel",
-            f"input has {x.shape[0]} channels, w_xi expects {p.w_xi.shape[1]}",
-        )
-    if state.h.shape != (p.w_hi.shape[0],) + x.shape[1:]:
-        raise ShapeError(
-            "convlstm_cell_step",
-            "recurrent gate / state",
-            f"state shape {state.h.shape} does not match hidden "
-            f"{p.w_hi.shape[0]} at spatial {x.shape[1:]}",
-        )
-    return _cell_step(tape, p, x, state, conv=True)
-
-
-def fclstm_cell_step(tape: Tape, p: FcLstmCellParams, x: Node, state: CellState) -> CellState:
-    if x.shape[0] != p.w_xi.shape[1]:
-        raise ShapeError(
-            "fclstm_cell_step",
+            "lstm_cell_step",
             "input gate / extent",
             f"input has extent {x.shape[0]}, w_xi expects {p.w_xi.shape[1]}",
         )
-    return _cell_step(tape, p, x, state, conv=False)
+    shape = (p.b_i.shape[0],) + x.shape[1:]
+    if state.h.shape != shape or state.c.shape != shape:
+        raise ShapeError(
+            "lstm_cell_step",
+            "recurrent gate / state",
+            f"state shapes {state.h.shape} and {state.c.shape}, expected {shape}",
+        )
+    return _fused_step(tape, _fuse_gates(tape, p), x, state)
 
 
-def _zero_state(tape: Tape, cell, x: Node) -> CellState:
-    hidden = cell.b_i.shape[0]
-    if isinstance(cell, ConvLstmCellParams):
-        shape = (hidden,) + x.shape[1:]
-    else:
-        shape = (hidden,)
-    return CellState(h=tape.const(np.zeros(shape)), c=tape.const(np.zeros(shape)))
+convlstm_cell_step = fclstm_cell_step = lstm_cell_step
 
 
 def encode_sequence(tape: Tape, cells: list, seq: list) -> Node:
@@ -320,22 +274,19 @@ def encode_sequence(tape: Tape, cells: list, seq: list) -> Node:
     if not seq:
         raise ValueError("encode_sequence: empty input sequence")
     current = seq
-    h_last = None
     for cell in cells:
-        conv = isinstance(cell, ConvLstmCellParams)
-        hidden = cell.b_i.shape[0]
         fused = _fuse_gates(tape, cell)
-        state = _zero_state(tape, cell, current[0])
+        shape = (cell.b_i.shape[0],) + current[0].shape[1:]
+        state = CellState(h=tape.const(np.zeros(shape)), c=tape.const(np.zeros(shape)))
         outputs = []
         for x in current:
-            state = _fused_step(tape, fused, hidden, x, state, conv)
+            state = _fused_step(tape, fused, x, state)
             outputs.append(state.h)
         current = outputs
-        h_last = state.h
-    return h_last
+    return current[-1]
 
 
-def regression_head(tape: Tape, head: RegressionHeadParams, h_t: Node) -> Node:
+def regression_head(tape: Tape, head: AffineParams, h_t: Node) -> Node:
     """Collapse the encoder output to one scalar estimate."""
     if len(h_t.shape) == 3:
         h_t = tape.global_avg_pool(h_t)
@@ -349,7 +300,7 @@ def regression_head(tape: Tape, head: RegressionHeadParams, h_t: Node) -> Node:
 # -- whole-model forward ---------------------------------------------------
 
 
-def preprocess(frames: np.ndarray, spec: ModelSpec, divisor: float = 255.0):
+def preprocess(frames: np.ndarray, spec: ModelSpec):
     """Normalize reflectivity and downsample to the model's input geometry.
 
     Returns a list of T per-step inputs for the LSTM kinds ([C,H',W'] maps
@@ -363,7 +314,7 @@ def preprocess(frames: np.ndarray, spec: ModelSpec, divisor: float = 255.0):
             f"got {arr.shape}, spec expects "
             f"({spec.in_t}, {spec.in_c}, {spec.in_h}, {spec.in_w})",
         )
-    norm = arr.astype(np.float64) / divisor
+    norm = arr.astype(np.float64) / 255.0
     steps = [norm[t] for t in range(spec.in_t)]
     if spec.pool_factor > 1:
         steps = [avg_pool2d(s, spec.pool_factor) for s in steps]
@@ -376,33 +327,53 @@ def preprocess(frames: np.ndarray, spec: ModelSpec, divisor: float = 255.0):
 
 def lift(tape: Tape, model: Model) -> Model:
     """Register every parameter on the tape; return the node-valued twin."""
-    named = {name: tape.param(name, arr) for name, arr in model.named_parameters().items()}
-    return Model.from_named(model.spec, named)
+    return Model(model.spec, {name: tape.param(name, arr) for name, arr in model.params.items()})
 
 
 def build_prediction(tape: Tape, lifted: Model, inputs) -> Node:
     """Forward graph from preprocessed inputs to the scalar estimate node."""
+    p = lifted.params
     if lifted.spec.kind == "linear":
-        x = tape.const(inputs)
-        return tape.affine(x, lifted.linear.weight, lifted.linear.bias)
-    seq = [tape.const(x) for x in inputs]
-    h_t = encode_sequence(tape, lifted.cells, seq)
-    return regression_head(tape, lifted.head, h_t)
+        return tape.affine(tape.const(inputs), p["linear.weight"], p["linear.bias"])
+    cells = [
+        LstmCellParams(**{name: p[f"cell{i}.{name}"] for name in GATE_WEIGHTS + GATE_BIASES})
+        for i in range(lifted.spec.stacks)
+    ]
+    h_t = encode_sequence(tape, cells, [tape.const(x) for x in inputs])
+    return regression_head(tape, AffineParams(p["head.weight"], p["head.bias"]), h_t)
 
 
-def predict(model: Model, record, divisor: float = 255.0, clamp: bool = False) -> float:
+def predict(model: Model, record, clamp: bool = False) -> float:
     """Scalar rainfall estimate for one record (pure per sample).
 
     ``record`` is a RadarRecord or a raw [T,C,H,W] array. ``clamp`` floors
     the reported value at zero; training always uses the raw output.
     """
     frames = getattr(record, "frames", record)
-    inputs = preprocess(frames, model.spec, divisor)
+    inputs = preprocess(frames, model.spec)
     tape = Tape()
     lifted = lift(tape, model)
     node = build_prediction(tape, lifted, inputs)
     value = float(node.value[0])
     return max(0.0, value) if clamp else value
+
+
+def gradcheck_model(spec: ModelSpec, seed: int) -> GradCheckReport:
+    """Finite-difference check of every parameter gradient of the seeded
+    initial model on one record: the seed draws the frames, then a target in
+    [0, 5), and the initial parameters."""
+    rng = np.random.default_rng(seed)
+    frames = rng.integers(0, 256, (spec.in_t, spec.in_c, spec.in_h, spec.in_w))
+    inputs = preprocess(frames, spec)
+    target = np.array([float(rng.uniform(0.0, 5.0))])
+
+    def loss_fn(values):
+        tape = Tape()
+        pred = build_prediction(tape, lift(tape, Model(spec, values)), inputs)
+        tape.squared_error(pred, tape.const(target))
+        return tape
+
+    return grad_check(loss_fn, init_params(spec, seed).named_parameters(), step=1e-3, tol=1e-4)
 
 
 # -- checkpoint container ---------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AdamState", "adam_step", "sgd_step", "clip_grads"]
+__all__ = ["AdamState", "adam_step", "sgd_step"]
 
 
 @dataclass
@@ -63,17 +63,3 @@ def sgd_step(lr: float, params: dict, grads: dict) -> dict:
     for name, theta in params.items():
         theta -= lr * grads[name]
     return params
-
-
-def clip_grads(grads: dict, max_norm: float) -> dict:
-    """Scale all gradients down to a global L2 norm cap. Off by default in
-    training; provided for runs that need it."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.dot(g.ravel(), g.ravel()))
-    norm = total**0.5
-    if norm > max_norm > 0:
-        factor = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
-    return grads

@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 
 from . import reference
-from .autodiff import Tape, grad_check
+from .autodiff import Tape
 from .data import (
     DataFormatError,
     SynthConfig,
@@ -23,15 +23,13 @@ from .data import (
 )
 from .model import (
     CellState,
-    Model,
+    LstmCellParams,
     ModelSpec,
-    build_prediction,
-    convlstm_cell_step,
-    fclstm_cell_step,
+    gradcheck_model,
     init_params,
     load_checkpoint,
+    lstm_cell_step,
     param_shapes,
-    preprocess,
     save_checkpoint,
 )
 from .optim import AdamState, adam_step
@@ -91,10 +89,8 @@ def check_convlstm_cell_matches_transcription():
     h0 = rng.normal(0, 0.5, (3, 4, 4))
     c0 = rng.normal(0, 0.5, (3, 4, 4))
     tape = Tape()
-    from .model import ConvLstmCellParams
-
-    cell = ConvLstmCellParams(**{k: tape.const(v) for k, v in arrays.items()})
-    state = convlstm_cell_step(
+    cell = LstmCellParams(**{k: tape.const(v) for k, v in arrays.items()})
+    state = lstm_cell_step(
         tape, cell, tape.const(x), CellState(tape.const(h0), tape.const(c0))
     )
     h_ref, c_ref = reference.convlstm_cell_naive(arrays, x, h0, c0)
@@ -111,19 +107,17 @@ def check_degenerate_equivalence():
         k: (v[..., 0, 0] if v.ndim == 4 else v) for k, v in conv_arrays.items()
     }
     x = rng.normal(0, 1, cin)
-    from .model import ConvLstmCellParams, FcLstmCellParams
-
     tc = Tape()
-    conv_cell = ConvLstmCellParams(**{k: tc.const(v) for k, v in conv_arrays.items()})
-    cs = convlstm_cell_step(
+    conv_cell = LstmCellParams(**{k: tc.const(v) for k, v in conv_arrays.items()})
+    cs = lstm_cell_step(
         tc,
         conv_cell,
         tc.const(x.reshape(cin, 1, 1)),
         CellState(tc.const(np.zeros((hidden, 1, 1))), tc.const(np.zeros((hidden, 1, 1)))),
     )
     tf = Tape()
-    fc_cell = FcLstmCellParams(**{k: tf.const(v) for k, v in fc_arrays.items()})
-    fs = fclstm_cell_step(
+    fc_cell = LstmCellParams(**{k: tf.const(v) for k, v in fc_arrays.items()})
+    fs = lstm_cell_step(
         tf,
         fc_cell,
         tf.const(x),
@@ -135,20 +129,7 @@ def check_degenerate_equivalence():
 
 def check_gradients_match_finite_differences():
     spec = ModelSpec("conv-lstm", stacks=1, hidden=2, kernel=3, in_t=2, in_c=2, in_h=4, in_w=4)
-    rng = _rng(5)
-    frames = rng.integers(0, 256, (2, 2, 4, 4))
-    inputs = preprocess(frames, spec)
-    params = init_params(spec, seed=7).named_parameters()
-
-    def loss_fn(p):
-        tape = Tape()
-        nodes = {k: tape.param(k, v) for k, v in p.items()}
-        lifted = Model.from_named(spec, nodes)
-        pred = build_prediction(tape, lifted, inputs)
-        tape.squared_error(pred, tape.const(np.array([2.0])))
-        return tape
-
-    report = grad_check(loss_fn, params, step=1e-3, tol=1e-4)
+    report = gradcheck_model(spec, seed=7)
     assert report.passed, report.render()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tape
 from .data import DatasetSplit, RadarRecord, minibatches
 from .model import Model, ModelSpec, build_prediction, init_params, lift, preprocess
-from .optim import AdamState, adam_step, clip_grads, sgd_step
+from .optim import AdamState, adam_step, sgd_step
 
 __all__ = [
     "TrainConfig",
@@ -61,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     threads: int = 1
     timing: bool = False
-    clip_norm: float = 0.0
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "gd"):
@@ -178,8 +177,6 @@ def train(
             if not math.isfinite(loss):
                 raise DivergenceError(epoch, batch_no, loss)
             grads = tape.backward()
-            if cfg.clip_norm > 0:
-                clip_grads(grads, cfg.clip_norm)
             if adam is not None:
                 adam_step(adam, params, grads)
             else:

@@ -2,8 +2,8 @@
 prints one pass/fail line (visible with ``pytest -s``).
 
 The heavy criteria (4 and 5) train on the canonical synthetic benchmark
-from configs/benchmark.cfg; the full module took 322 s on 2 CPU cores
-(NumPy on OpenBLAS 0.3.31, default threads).
+from configs/benchmark.cfg; the README ("Install and test") gives the
+module's measured wall time.
 """
 
 import time

@@ -75,7 +75,7 @@ class TestBackward:
             x = tape.param("x", p["x"])
             k = tape.param("k", p["k"])
             err = tape.squared_error(tape.conv2d(x, k), tape.const(target))
-            tape.scale(err, 1.0 / target.size)
+            tape.mul(err, tape.const(scalar(1.0 / target.size)))
             return tape
 
         report = grad_check(loss_fn, {"x": x0, "k": k0}, step=1e-3, tol=1e-6)
@@ -140,7 +140,7 @@ class TestGradCheck:
     def test_abs_at_zero_flagged_unreliable(self):
         def loss_fn(p):
             tape = Tape()
-            tape.abs(tape.param("w", p["w"]))
+            tape.mul(tape.param("w", p["w"]), tape.const(np.sign(p["w"])))  # |w|
             return tape
 
         report = grad_check(loss_fn, {"w": scalar(0.0)}, step=1e-3, tol=1e-4)
@@ -175,6 +175,14 @@ def _offset_target(rng, value):
     )
 
 
+def _removed_case(rng, in_shape, out_shape):
+    """Stands in for the case of a tape op that no longer exists: it draws
+    that case's input here and, through the test loop, its target, so the
+    cases after it keep their inputs and targets. It checks no gradient."""
+    rng.normal(0, 1, in_shape)
+    return {}, lambda tp, p: tp.const(np.zeros(out_shape))
+
+
 def _primitive_cases(rng):
     cases = {}
     cases["conv2d"] = (
@@ -205,20 +213,14 @@ def _primitive_cases(rng):
         {"x": rng.normal(0, 1, (3, 4, 4))},
         lambda tp, p: tp.global_avg_pool(tp.param("x", p["x"])),
     )
-    cases["avg_pool2d"] = (
-        {"x": rng.normal(0, 1, (2, 5, 5))},
-        lambda tp, p: tp.avg_pool2d(tp.param("x", p["x"]), 2),
-    )
+    cases["removed: avg_pool2d"] = _removed_case(rng, (2, 5, 5), (2, 3, 3))
     cases["concat_slice"] = (
         {"x": rng.normal(0, 1, (4, 2))},
         lambda tp, p: tp.concat0(
             [tp.slice0(tp.param("x", p["x"]), 2, 4), tp.slice0(tp.params["x"], 0, 2)]
         ),
     )
-    cases["scale"] = (
-        {"x": rng.normal(0, 1, 5)},
-        lambda tp, p: tp.scale(tp.param("x", p["x"]), -0.75),
-    )
+    cases["removed: scale"] = _removed_case(rng, (5,), (5,))
     # Both outputs go into the loss, so c_t's gradient arrives from outside
     # as well as through h_t.
     cases["lstm_cell_maps"] = (
@@ -258,7 +260,7 @@ def test_squared_error_and_mean_match_finite_differences(seed):
         tape = Tape()
         a = tape.squared_error(tape.param("p", p["p"]), tape.param("q", p["q"]))
         b = tape.squared_error(tape.const(np.zeros(4)), tape.params["q"])
-        tape.mean_scalars([a, tape.scale(b, 0.5)])
+        tape.mean_scalars([a, tape.mul(b, tape.const(scalar(0.5)))])
         return tape
 
     report = grad_check(loss_fn, params, step=1e-3, tol=1e-4)

@@ -49,6 +49,15 @@ class TestConvert:
         assert "line 2" in capsys.readouterr().err
         assert not dst.exists()
 
+    def test_value_beyond_int64_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "data.txt"
+        write_text_dataset(src, ["1.5 1 2 3 4", "1.0 5 99999999999999999999 7 8"])
+        dst = tmp_path / "data.drn1"
+        code = main(["convert", "--in", str(src), "--out", str(dst), "--dims", "1,1,2,2"])
+        assert code == 2
+        assert "(line 2, token 2)" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_canonical_dims_flag_accepted(self):
         args = build_parser().parse_args(
             ["convert", "--in", "a", "--out", "b", "--dims", "15,4,101,101"]

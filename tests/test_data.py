@@ -60,6 +60,13 @@ class TestParseText:
         with pytest.raises(DataFormatError, match=r"256.*\[0, 255\]|outside"):
             parse_text_record("1.0 10 256 30 40", (1, 1, 2, 2))
 
+    @pytest.mark.parametrize(
+        "token", ["99999999999999999999", "-99999999999999999999", "9223372036854775808"]
+    )
+    def test_value_beyond_int64_reports_token(self, token):
+        with pytest.raises(DataFormatError, match=r"outside \[0, 255\] \(line 3, token 2\)"):
+            parse_text_record(f"1.0 10 {token} 30 40", (1, 1, 2, 2), line_no=3)
+
     def test_bad_label(self):
         with pytest.raises(DataFormatError, match="label"):
             parse_text_record("abc 10 20 30 40", (1, 1, 2, 2))
@@ -271,6 +278,17 @@ class TestSynthConfigFile:
         path = tmp_path / "synth.cfg"
         path.write_text("count=5\nblobs=9\n")
         with pytest.raises(DataFormatError, match="unknown key"):
+            load_synth_config(str(path))
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("count=0", "count"), ("t=0", "t"), ("noise=-1", "noise"), ("noise=nan", "noise"),
+         ("noise=inf", "noise"), ("seed=-2", "seed")],
+    )
+    def test_out_of_range_value_names_the_key(self, tmp_path, line, key):
+        path = tmp_path / "synth.cfg"
+        path.write_text(f"count=5\n{line}\n")
+        with pytest.raises(DataFormatError, match=rf"SynthConfig\.{key} must"):
             load_synth_config(str(path))
 
     def test_missing_count_rejected(self, tmp_path):

@@ -193,6 +193,15 @@ class TestFcLstmCell:
         assert abs(out.h.value[0] - h1) < 1e-12
         assert abs(out.c.value[0] - c1) < 1e-12
 
+    def test_state_mismatch_names_gate(self):
+        tape = Tape()
+        arrays = cell_arrays(np.random.default_rng(0), 2, 3, 1)
+        cell = FcLstmCellParams(
+            **{k: tape.const(v[..., 0, 0] if v.ndim == 4 else v) for k, v in arrays.items()}
+        )
+        with pytest.raises(ShapeError, match="recurrent gate"):
+            fclstm_cell_step(tape, cell, tape.const(np.ones(3)), zero_state(tape, (3,)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_convlstm_on_degenerate_geometry(self, seed):
         rng = np.random.default_rng(seed)
@@ -388,15 +397,15 @@ class TestPredict:
         assert math.isfinite(predict(model, frames))
 
 
+CHECKPOINT_SPECS = [
+    ModelSpec("conv-lstm", stacks=2, hidden=3, kernel=3, in_t=2, in_c=2, in_h=4, in_w=4),
+    ModelSpec("fc-lstm", stacks=1, hidden=4, in_t=3, in_c=1, in_h=5, in_w=5),
+    ModelSpec("linear", in_t=2, in_c=1, in_h=3, in_w=3, pool_factor=2),
+]
+
+
 class TestCheckpoint:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ModelSpec("conv-lstm", stacks=2, hidden=3, kernel=3, in_t=2, in_c=2, in_h=4, in_w=4),
-            ModelSpec("fc-lstm", stacks=1, hidden=4, in_t=3, in_c=1, in_h=5, in_w=5),
-            ModelSpec("linear", in_t=2, in_c=1, in_h=3, in_w=3, pool_factor=2),
-        ],
-    )
+    @pytest.mark.parametrize("spec", CHECKPOINT_SPECS)
     def test_roundtrip_bit_exact(self, spec, tmp_path):
         model = init_params(spec, 77)
         path = tmp_path / "model.drnp"
@@ -408,6 +417,28 @@ class TestCheckpoint:
         assert list(a) == list(b)
         for name in a:
             assert np.array_equal(a[name], b[name])
+
+    @pytest.mark.parametrize("spec", CHECKPOINT_SPECS)
+    def test_from_named_orders_a_shuffled_dict_and_resaves_identical_bytes(self, spec, tmp_path):
+        model = init_params(spec, 5)
+        named = model.named_parameters()
+        order = np.random.default_rng(6).permutation(len(named))
+        shuffled = Model.from_named(spec, {list(named)[i]: list(named.values())[i] for i in order})
+        assert list(shuffled.named_parameters()) == list(param_shapes(spec))
+        assert all(shuffled.named_parameters()[n] is a for n, a in named.items())
+        paths = [tmp_path / f"{i}.drnp" for i in range(3)]
+        save_checkpoint(str(paths[0]), model)
+        save_checkpoint(str(paths[1]), shuffled)
+        save_checkpoint(str(paths[2]), load_checkpoint(str(paths[0])))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    def test_named_parameters_is_a_new_dict_over_the_model_arrays(self):
+        model = init_params(ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2), 0)
+        named = model.named_parameters()
+        named["linear.bias"] += 2.5
+        del named["linear.weight"]
+        assert model.named_parameters()["linear.bias"][0] == 2.5
+        assert "linear.weight" in model.named_parameters()
 
     def test_roundtrip_preserves_predictions(self, tmp_path):
         spec = ModelSpec("conv-lstm", stacks=1, hidden=2, in_t=2, in_c=1, in_h=4, in_w=4)

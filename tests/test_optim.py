@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deeprain import reference
-from deeprain.optim import AdamState, adam_step, clip_grads, sgd_step
+from deeprain.optim import AdamState, adam_step, sgd_step
 
 
 class TestAdam:
@@ -105,12 +105,3 @@ class TestSgd:
         with pytest.raises(ValueError, match="missing gradient"):
             sgd_step(0.1, {"w": np.zeros(1)}, {})
 
-
-def test_clip_grads_caps_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    clip_grads(grads, 1.0)
-    norm = np.sqrt(sum(float(g @ g) for g in grads.values()))
-    assert abs(norm - 1.0) < 1e-12
-    grads = {"a": np.array([0.3])}
-    clip_grads(grads, 1.0)
-    assert grads["a"][0] == 0.3

@@ -1,7 +1,8 @@
-"""Hostile bytes into the binary parsers: a DRN1 dataset or a DRNP
-checkpoint with flipped, overwritten or cut-off header and per-tensor fields
-either still parses or fails with the format's typed error, never another
-exception."""
+"""Hostile input into the parsers: a DRN1 dataset or a DRNP checkpoint
+with flipped, overwritten or cut-off header and per-tensor fields, a text
+dataset line or a synthetic-data config file with malformed or out-of-range
+tokens either still parses or fails with the format's typed error, never
+another exception."""
 
 import struct
 
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deeprain.data import DataFormatError, RadarRecord, read_binary, write_binary
+from deeprain.data import (
+    DataFormatError,
+    RadarRecord,
+    load_synth_config,
+    parse_text_record,
+    read_binary,
+    write_binary,
+)
 from deeprain.model import (
     CheckpointError,
     ModelSpec,
@@ -107,4 +115,44 @@ def test_mutated_file_raises_only_its_typed_error(samples, fmt, parse, error, da
     try:
         parse(str(path))
     except error:
+        pass
+
+
+# Tokens a text line or a config value may carry: in-range and out-of-range
+# integers, integers beyond int64, floats with their special values, and text.
+TOKENS = st.one_of(
+    st.integers(-300, 600).map(str),
+    st.integers(2**63 - 2, 2**80).map(str),
+    st.integers(-(2**80), -(2**63) - 1).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "0x1f", "1_0", "+5", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@given(tokens=st.lists(TOKENS, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_text_line_raises_only_data_format_error(tokens):
+    try:
+        parse_text_record(" ".join(tokens), (1, 1, 2, 2), line_no=1)
+    except DataFormatError:
+        pass
+
+
+CONFIG_KEYS = ("count", "t", "c", "h", "w", "noise", "a", "b", "seed")
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS), TOKENS).map("=".join),
+    st.tuples(st.text(max_size=4), TOKENS).map("=".join),
+    st.sampled_from(["", "# comment", "count", "=", "count=5"]),
+)
+
+
+@given(lines=st.lists(CONFIG_LINES, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_config_file_raises_only_data_format_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "synth.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load_synth_config(str(path))
+    except DataFormatError:
         pass
