@@ -152,16 +152,29 @@ def parse_text_record(line: str, dims: tuple, line_no: int | None = None) -> Rad
         raise DataFormatError(str(exc), line_no=line_no) from None
 
 
+def _text_lines(path: str):
+    """Yield (line number, stripped line) for the non-blank, non-comment
+    (``#``) lines of a UTF-8 text file. A line holding bytes that are not
+    UTF-8 raises DataFormatError naming it."""
+    # surrogateescape turns each undecodable byte into a lone surrogate,
+    # which valid UTF-8 never decodes to, so the line it is on is known
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise DataFormatError(
+                    f"byte 0x{byte:02x} is not UTF-8 text", line_no=line_no
+                ) from None
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield line_no, stripped
+
+
 def parse_text_file(path: str, dims: tuple) -> list[RadarRecord]:
     """Parse a text dataset, ignoring comment (``#``) and blank lines."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            records.append(parse_text_record(stripped, dims, line_no=line_no))
-    return records
+    return [parse_text_record(line, dims, line_no=line_no) for line_no, line in _text_lines(path)]
 
 
 def write_binary(records: list[RadarRecord], path: str) -> None:
@@ -192,31 +205,34 @@ def write_binary(records: list[RadarRecord], path: str) -> None:
 
 
 def read_binary(path: str) -> list[RadarRecord]:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a DRN1 file. The header and the file size are checked before any
+    record is read; each record's frames are then read straight into their
+    own writable array, so the data is resident once."""
     header = struct.calcsize("<4sIIIIIQ")
-    if len(data) < header:
-        raise DataFormatError("bad magic: file shorter than the DRN1 header")
-    magic, version, t, c, h, w, count = struct.unpack_from("<4sIIIIIQ", data, 0)
-    if magic != BINARY_MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-    if version != BINARY_VERSION:
-        raise DataFormatError(f"unsupported version {version}")
-    n_vals = t * c * h * w
-    rec_size = 8 + n_vals
-    expected = header + count * rec_size
-    if len(data) != expected:
-        raise DataFormatError(
-            f"size mismatch: header promises {count} records "
-            f"({expected} bytes), file has {len(data)} bytes"
-        )
-    records = []
-    pos = header
-    for _ in range(count):
-        (label,) = struct.unpack_from("<d", data, pos)
-        frames = np.frombuffer(data, dtype=np.uint8, count=n_vals, offset=pos + 8)
-        records.append(RadarRecord(label=label, frames=frames.reshape(t, c, h, w).copy()))
-        pos += rec_size
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header)
+        if len(head) < header:
+            raise DataFormatError("bad magic: file shorter than the DRN1 header")
+        magic, version, t, c, h, w, count = struct.unpack("<4sIIIIIQ", head)
+        if magic != BINARY_MAGIC:
+            raise DataFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
+        if version != BINARY_VERSION:
+            raise DataFormatError(f"unsupported version {version}")
+        n_vals = t * c * h * w
+        expected = header + count * (8 + n_vals)
+        if size != expected:
+            raise DataFormatError(
+                f"size mismatch: header promises {count} records "
+                f"({expected} bytes), file has {size} bytes"
+            )
+        records = []
+        for i in range(count):
+            label = fh.read(8)
+            frames = np.empty((t, c, h, w), np.uint8)
+            if len(label) != 8 or fh.readinto(frames) != n_vals:
+                raise DataFormatError(f"file shrank while read: record {i} is cut short")
+            records.append(RadarRecord(label=struct.unpack("<d", label)[0], frames=frames))
     return records
 
 
@@ -302,23 +318,19 @@ _SYNTH_KEYS = {
 def load_synth_config(path: str) -> SynthConfig:
     """Read a key=value config file (unknown keys rejected)."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DataFormatError("expected key=value", line_no=line_no)
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _SYNTH_KEYS:
-                raise DataFormatError(f"unknown key {key!r}", line_no=line_no)
-            try:
-                values[key] = _SYNTH_KEYS[key](raw.strip())
-            except ValueError:
-                raise DataFormatError(
-                    f"value {raw.strip()!r} invalid for key {key!r}", line_no=line_no
-                ) from None
+    for line_no, line in _text_lines(path):
+        if "=" not in line:
+            raise DataFormatError("expected key=value", line_no=line_no)
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _SYNTH_KEYS:
+            raise DataFormatError(f"unknown key {key!r}", line_no=line_no)
+        try:
+            values[key] = _SYNTH_KEYS[key](raw.strip())
+        except ValueError:
+            raise DataFormatError(
+                f"value {raw.strip()!r} invalid for key {key!r}", line_no=line_no
+            ) from None
     if "count" not in values:
         raise DataFormatError("config must set count")
     try:

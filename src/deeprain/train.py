@@ -28,6 +28,7 @@ __all__ = [
     "TrainResult",
     "DivergenceError",
     "rmse",
+    "minibatch_gradient",
     "train",
     "evaluate",
     "emit_curve",
@@ -128,6 +129,40 @@ def _predict_inputs(model: Model, inputs) -> float:
     return float(build_prediction(tape, lifted, inputs).value[0])
 
 
+def _record_gradient(model: Model, inputs, label: float, n: int):
+    """One record's prediction, squared error and, if that is finite, the
+    gradient of its 1/n share of the batch loss, on a tape that dies here."""
+    tape = Tape()
+    pred = build_prediction(tape, lift(tape, model), inputs)
+    err = tape.squared_error(pred, tape.const(np.array([label])))
+    tape.mul(err, tape.const(np.array([1.0 / n])))
+    tape.forward()
+    error = float(err.value[0])
+    grads = tape.backward() if math.isfinite(error) else None
+    return float(pred.value[0]), error, grads
+
+
+def minibatch_gradient(model: Model, inputs: list, labels: list[float]):
+    """Predictions, mean squared-error loss and its gradient over a minibatch
+    of preprocessed inputs, holding one record's tape at a time.
+
+    A parameter has one consumer per record, so summing the record gradients
+    in record order, from the first, gives the bits of one tape over the
+    whole batch. The gradient is incomplete when the loss is not finite.
+    """
+    n = len(inputs)
+    preds: list[float] = []
+    errors: list[float] = []
+    grads: dict[str, np.ndarray] = {}
+    for x, y in zip(inputs, labels):
+        pred, error, record_grads = _record_gradient(model, x, y, n)
+        preds.append(pred)
+        errors.append(error)
+        for name, g in (record_grads or {}).items():
+            grads[name] = grads[name] + g if name in grads else g
+    return preds, math.fsum(errors) / n, grads
+
+
 def train(
     cfg: TrainConfig,
     records: list[RadarRecord],
@@ -163,20 +198,12 @@ def train(
         for batch_no, batch in enumerate(
             minibatches(dataset_split.train, cfg.batch_size, epoch, cfg.seed)
         ):
-            tape = Tape()
-            lifted = lift(tape, model)
-            losses = []
-            for idx in batch:
-                pred = build_prediction(tape, lifted, cache[idx])
-                epoch_preds.append(float(pred.value[0]))
-                epoch_truth.append(labels[idx])
-                target = tape.const(np.array([labels[idx]]))
-                losses.append(tape.squared_error(pred, target))
-            tape.mean_scalars(losses)
-            loss = tape.forward()
+            truth = [labels[idx] for idx in batch]
+            preds, loss, grads = minibatch_gradient(model, [cache[idx] for idx in batch], truth)
+            epoch_preds += preds
+            epoch_truth += truth
             if not math.isfinite(loss):
                 raise DivergenceError(epoch, batch_no, loss)
-            grads = tape.backward()
             if adam is not None:
                 adam_step(adam, params, grads)
             else:

@@ -123,6 +123,21 @@ class TestBackward:
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 30])
+    def test_one_item_times_inverse_n_passes_the_batch_share(self, n):
+        # A record's tape in a streamed batch ends in mul by 1/n: it must pass
+        # its item the bits that mean_scalars over the whole batch passes.
+        values = np.random.default_rng(n).normal(0, 1, n)
+        whole = Tape()
+        whole.mean_scalars([whole.param(f"x{i}", scalar(v)) for i, v in enumerate(values)])
+        whole.forward()
+        shares = whole.backward()
+        for i, v in enumerate(values):
+            tape = Tape()
+            tape.mul(tape.param("x", scalar(v)), tape.const(scalar(1.0 / n)))
+            tape.forward()
+            assert tape.backward()["x"].tobytes() == shares[f"x{i}"].tobytes()
+
 
 class TestGradCheck:
     def test_quadratic_passes_tightly(self):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestParseText:
         with pytest.raises(DataFormatError, match="line 2"):
             parse_text_file(str(path), (1, 1, 2, 2))
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        # past the decoder's first 8 KiB chunk: the line number must come
+        # from the line, not from where decoding failed
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1.5 1 2 3 4\n" * 3000 + b"2.5 5 \xff 7 8\n1.5 1 2 3 4\n")
+        with pytest.raises(DataFormatError, match=r"0xff is not UTF-8") as info:
+            parse_text_file(str(path), (1, 1, 2, 2))
+        assert info.value.line_no == 3001
+
 
 class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):
@@ -141,6 +151,32 @@ class TestBinaryFormat:
     def test_empty_record_set_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="empty"):
             write_binary([], str(tmp_path / "none.drn1"))
+
+    def test_read_frames_are_writable_and_separate(self, tmp_path):
+        records = tiny_records(count=4)
+        path = tmp_path / "set.drn1"
+        write_binary(records, str(path))
+        back = read_binary(str(path))
+        for i, rec in enumerate(back):
+            assert rec.frames.flags.writeable and rec.frames.flags.c_contiguous
+            assert not any(np.shares_memory(rec.frames, o.frames) for o in back[i + 1 :])
+        back[0].frames[0, 0, 0, 0] ^= 0x10
+        assert back[1:] == records[1:] and back[0] != records[0]
+
+    def test_read_holds_the_data_once(self, tmp_path):
+        # 40 records of 20 kB: reading the whole file and then copying every
+        # record out of it would peak at twice the file's size
+        records = tiny_records(count=40, dims=(5, 4, 32, 32))
+        path = tmp_path / "set.drn1"
+        write_binary(records, str(path))
+        tracemalloc.start()
+        try:
+            back = read_binary(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == records
+        assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -290,6 +326,14 @@ class TestSynthConfigFile:
         path.write_text(f"count=5\n{line}\n")
         with pytest.raises(DataFormatError, match=rf"SynthConfig\.{key} must"):
             load_synth_config(str(path))
+
+    @pytest.mark.parametrize("raw, line_no", [(b"count=5\nt=\xff\n", 2), (b"# \xc3\n", 1)])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, raw, line_no):
+        path = tmp_path / "synth.cfg"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match="not UTF-8") as info:
+            load_synth_config(str(path))
+        assert info.value.line_no == line_no
 
     def test_missing_count_rejected(self, tmp_path):
         path = tmp_path / "synth.cfg"

@@ -1,10 +1,12 @@
 """Hostile input into the parsers: a DRN1 dataset or a DRNP checkpoint
 with flipped, overwritten or cut-off header and per-tensor fields, a text
-dataset line or a synthetic-data config file with malformed or out-of-range
-tokens either still parses or fails with the format's typed error, never
-another exception."""
+dataset line or file or a synthetic-data config file with malformed or
+out-of-range tokens or bytes that are not UTF-8 either still parses or fails
+with the format's typed error, never another exception. The binary parsers
+also allocate no more than a small multiple of the file's size."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from deeprain.data import (
     DataFormatError,
     RadarRecord,
     load_synth_config,
+    parse_text_file,
     parse_text_record,
     read_binary,
     write_binary,
@@ -111,11 +114,19 @@ def test_mutated_file_raises_only_its_typed_error(samples, fmt, parse, error, da
     root, files = samples
     raw, offsets, words = data.draw(st.sampled_from(files[fmt]))
     path = root / f"mutated.{fmt}"
-    path.write_bytes(_mutate(data, raw, offsets, words))
+    mutated = _mutate(data, raw, offsets, words)
+    path.write_bytes(mutated)
+    tracemalloc.start()
     try:
         parse(str(path))
     except error:
         pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # whatever the header claims: the file's bytes, read and converted, plus
+    # the objects that hold a few records or tensors
+    assert peak <= 2 * len(mutated) + 65536, (peak, len(mutated))
 
 
 # Tokens a text line or a config value may carry: in-range and out-of-range
@@ -130,6 +141,10 @@ TOKENS = st.one_of(
 )
 
 
+# The same tokens as UTF-8, or raw bytes that need not be UTF-8 at all.
+RAW_TOKENS = st.one_of(TOKENS.map(str.encode), st.binary(max_size=6))
+
+
 @given(tokens=st.lists(TOKENS, max_size=7))
 @settings(max_examples=300, deadline=None)
 def test_text_line_raises_only_data_format_error(tokens):
@@ -139,11 +154,23 @@ def test_text_line_raises_only_data_format_error(tokens):
         pass
 
 
+@given(lines=st.lists(st.lists(RAW_TOKENS, max_size=6).map(b" ".join), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_text_file_raises_only_data_format_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "data.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        parse_text_file(str(path), (1, 1, 1, 2))
+    except DataFormatError:
+        pass
+
+
 CONFIG_KEYS = ("count", "t", "c", "h", "w", "noise", "a", "b", "seed")
 CONFIG_LINES = st.one_of(
-    st.tuples(st.sampled_from(CONFIG_KEYS), TOKENS).map("=".join),
-    st.tuples(st.text(max_size=4), TOKENS).map("=".join),
-    st.sampled_from(["", "# comment", "count", "=", "count=5"]),
+    st.tuples(st.sampled_from(CONFIG_KEYS).map(str.encode), RAW_TOKENS).map(b"=".join),
+    st.tuples(st.one_of(st.text(max_size=4).map(str.encode), st.binary(max_size=4)), RAW_TOKENS)
+    .map(b"=".join),
+    st.sampled_from([b"", b"# comment", b"count", b"=", b"count=5"]),
 )
 
 
@@ -151,7 +178,7 @@ CONFIG_LINES = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_config_file_raises_only_data_format_error(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "synth.cfg"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     try:
         load_synth_config(str(path))
     except DataFormatError:

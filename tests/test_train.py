@@ -1,6 +1,8 @@
 import csv
 import math
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deeprain.data import SynthConfig, split, synth_generate
-from deeprain.model import Model, ModelSpec, init_params, param_shapes, predict
+from deeprain.autodiff import Tape
+from deeprain.model import (
+    Model,
+    ModelSpec,
+    build_prediction,
+    init_params,
+    lift,
+    param_shapes,
+    predict,
+    preprocess,
+)
 from deeprain.train import (
     DivergenceError,
     EpochStats,
     TrainConfig,
     emit_curve,
     evaluate,
+    minibatch_gradient,
     rmse,
     train,
 )
@@ -154,6 +167,82 @@ class TestTrain:
         plain = train(TrainConfig(model=spec, batch_size=8, max_epochs=2, seed=15), records, sp)
         assert all(s.seconds > 0 for s in timed.stats)
         assert all(s.seconds == 0.0 for s in plain.stats)
+
+
+def one_tape_gradient(model, inputs, labels):
+    """The reference: every record of the batch on one tape under one
+    mean_scalars node, and one backward pass."""
+    tape = Tape()
+    lifted = lift(tape, model)
+    preds, losses = [], []
+    for x, y in zip(inputs, labels):
+        pred = build_prediction(tape, lifted, x)
+        preds.append(float(pred.value[0]))
+        losses.append(tape.squared_error(pred, tape.const(np.array([y]))))
+    tape.mean_scalars(losses)
+    loss = tape.forward()
+    return preds, loss, tape.backward()
+
+
+STREAM_SPECS = [
+    ModelSpec("linear", in_t=3, in_c=2, in_h=6, in_w=6),
+    ModelSpec("fc-lstm", stacks=1, hidden=3, in_t=3, in_c=2, in_h=6, in_w=6),
+    ModelSpec("conv-lstm", stacks=2, hidden=3, kernel=3, in_t=3, in_c=2, in_h=6, in_w=6),
+]
+
+
+class TestStreamedBatch:
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_equals_one_tape_batch_bitwise(self, spec, n):
+        # Channel 1 is blank and every label exceeds its prediction, so each
+        # record gives the linear channel-1 weights a gradient of -0.0: a
+        # fold started from +0.0 instead of the first record would show.
+        records = synth_generate(SynthConfig(count=n, t=3, c=2, h=6, w=6, noise=0.1, seed=n))
+        for r in records:
+            r.frames[:, 1] = 0
+        inputs = [preprocess(r.frames, spec) for r in records]
+        labels = [r.label + 5.0 for r in records]
+        model = init_params(spec, 5)
+        preds, loss, grads = minibatch_gradient(model, inputs, labels)
+        want_preds, want_loss, want_grads = one_tape_gradient(model, inputs, labels)
+        assert preds == want_preds
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert list(grads) == list(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+        if spec.kind == "linear":
+            assert np.signbit(grads["linear.weight"][grads["linear.weight"] == 0]).any()
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda s: s.kind)
+    def test_training_equals_one_tape_training_bitwise(self, spec, monkeypatch):
+        records = synth_generate(SynthConfig(count=30, t=3, c=2, h=6, w=6, noise=0.1, seed=21))
+        sp = split(30, (0.8, 0.1, 0.1), seed=21)
+        cfg = TrainConfig(model=spec, batch_size=7, max_epochs=2, seed=21)
+        streamed = train(cfg, records, sp)
+        monkeypatch.setattr(sys.modules["deeprain.train"], "minibatch_gradient", one_tape_gradient)
+        reference = train(cfg, records, sp)
+        assert streamed.stats == reference.stats
+        for name, arr in streamed.model.named_parameters().items():
+            assert arr.tobytes() == reference.model.named_parameters()[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["conv-lstm", "fc-lstm"])
+    def test_train_memory_does_not_grow_with_batch_size(self, kind):
+        # One record's tape at a time: a batch of 32 costs what a batch of 2
+        # does. With every record of a batch on one tape it cost 4-10x more.
+        records = synth_generate(SynthConfig(count=40, t=5, c=2, h=16, w=16, seed=3))
+        sp = split(40, (0.8, 0.1, 0.1), seed=3)
+        spec = ModelSpec(kind, stacks=2, hidden=8, kernel=3, in_t=5, in_c=2, in_h=16, in_w=16)
+        peaks = {}
+        for batch_size in (2, 32):
+            tracemalloc.start()
+            try:
+                train(TrainConfig(model=spec, batch_size=batch_size, max_epochs=1, seed=3),
+                      records, sp)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[32] <= 1.25 * peaks[2], peaks
 
 
 class TestEvaluate:
