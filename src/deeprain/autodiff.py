@@ -26,15 +26,14 @@ class GraphError(RuntimeError):
 class Node:
     """One value in the graph: payload, provenance, and its backward rule."""
 
-    __slots__ = ("value", "op", "parents", "vjp", "needs_grad", "index", "grad", "_pending")
+    __slots__ = ("value", "op", "parents", "vjp", "needs_grad", "grad", "_pending")
 
-    def __init__(self, value, op, parents, vjp, needs_grad, index):
+    def __init__(self, value, op, parents, vjp, needs_grad):
         self.value = value
         self.op = op
         self.parents = parents
         self.vjp = vjp
         self.needs_grad = needs_grad
-        self.index = index
         self.grad = None
         self._pending = []
 
@@ -64,7 +63,7 @@ class Tape:
         return self._record(T.as_tensor(value), "const", (), None, needs_grad=False)
 
     def _record(self, value, op, parents, vjp, needs_grad) -> Node:
-        node = Node(value, op, parents, vjp, needs_grad, len(self.nodes))
+        node = Node(value, op, parents, vjp, needs_grad)
         self.nodes.append(node)
         self._forward_done = False
         return node
@@ -80,15 +79,9 @@ class Tape:
         The VJP rebuilds the im2col columns from ``x.value`` when the kernel
         gradient needs them, so the tape keeps no column matrix.
         """
-        out = T._conv2d_parts(x.value, kernels.value)
+        out = T.conv2d(x.value, kernels.value, None if bias is None else bias.value)
         c, h, w = x.value.shape
         o, _, kh, kw = kernels.value.shape
-        if bias is not None:
-            if bias.value.shape != (o,):
-                raise T.ShapeError(
-                    "conv2d", "bias", f"expected shape ({o},), got {bias.value.shape}"
-                )
-            out = out + bias.value[:, None, None]
         kmat = kernels.value.reshape(o, c * kh * kw)
 
         def vjp(g):
@@ -107,16 +100,7 @@ class Tape:
         return self._record(out, "conv2d", parents, vjp, needs)
 
     def affine(self, x: Node, weight: Node, bias: Node | None = None) -> Node:
-        if bias is not None:
-            out = T.affine(x.value, weight.value, bias.value)
-        else:
-            if x.value.shape[0] != weight.value.shape[1]:
-                raise T.ShapeError(
-                    "affine",
-                    "inner extent",
-                    f"input has {x.value.shape[0]}, weight expects {weight.value.shape[1]}",
-                )
-            out = weight.value @ x.value
+        out = T.affine(x.value, weight.value, None if bias is None else bias.value)
 
         def vjp(g):
             gx = weight.value.T @ g if x.needs_grad else None

@@ -7,6 +7,7 @@ Seeds always come from flags so every run is replayable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+THREADS_HELP = "accepted and ignored: records run one at a time, in order"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,12 +72,18 @@ def _odd_int(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("DEEPRAIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,19 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a DRN1 dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", default="conv-lstm", choices=("conv-lstm", "fc-lstm", "linear"))
-    p.add_argument("--stacks", type=int, default=1)
-    p.add_argument("--hidden", type=int, default=8)
+    p.add_argument("--stacks", type=_positive_int, default=1)
+    p.add_argument("--hidden", type=_positive_int, default=8)
     p.add_argument("--kernel", type=_odd_int, default=3)
-    p.add_argument("--pool", type=int, default=1)
+    p.add_argument("--pool", type=_positive_int, default=1)
     p.add_argument("--optimizer", default="adam", choices=("adam", "gd"))
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=30)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--lr", type=_rate, default=0.001)
+    p.add_argument("--batch", type=_positive_int, default=30)
+    p.add_argument("--epochs", type=_positive_int, default=50)
+    p.add_argument("--patience", type=_positive_int, default=3)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--curve", help="learning-curve CSV path")
     p.add_argument("--ckpt", help="checkpoint output path")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--timing", action="store_true", help="record wall time per epoch "
                    "(makes curve files run dependent)")
     p.set_defaults(func=cmd_train)
@@ -117,14 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--clamp", action="store_true", help="floor predictions at zero")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of every parameter gradient")
     p.add_argument("--model", default="conv-lstm", choices=("conv-lstm", "fc-lstm", "linear"))
-    p.add_argument("--stacks", type=int, default=1)
+    p.add_argument("--stacks", type=_positive_int, default=1)
     p.add_argument("--seed", type=_seed, default=42)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -155,10 +163,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _resolve_threads(args) -> int:
-    return args.threads if args.threads is not None else _default_threads()
-
-
 def cmd_train(args) -> int:
     records = read_binary(args.data)
     if not records:
@@ -183,7 +187,6 @@ def cmd_train(args) -> int:
         max_epochs=args.epochs,
         early_stop_patience=args.patience,
         seed=args.seed,
-        threads=_resolve_threads(args),
         timing=args.timing,
     )
     sp = split(len(records), seed=args.seed)
@@ -196,7 +199,7 @@ def cmd_train(args) -> int:
         emit_curve(result.stats, args.curve)
         print(f"curve -> {args.curve}")
     if sp.test:
-        test_rmse = evaluate(result.model, records, sp.test, threads=cfg.threads)
+        test_rmse = evaluate(result.model, records, sp.test)
         print(f"test_rmse={test_rmse:.12g}")
     return EXIT_OK
 
@@ -213,7 +216,7 @@ def cmd_eval(args) -> int:
     sp = split(len(records), seed=args.seed)
     if not sp.test:
         raise DataFormatError("test split is empty")
-    value = evaluate(model, records, sp.test, threads=_resolve_threads(args), clamp=args.clamp)
+    value = evaluate(model, records, sp.test, clamp=args.clamp)
     print(f"test_rmse={value:.12g}")
     return EXIT_OK
 

@@ -419,70 +419,81 @@ def save_checkpoint(path: str, model: Model) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads a checkpoint front to back, checking each length against the
+    bytes left in the file before anything is allocated."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise CheckpointError("truncated checkpoint file")
+        self.left -= n
 
     def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise CheckpointError("truncated checkpoint file")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
+        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
 
     def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        self._claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:
             raise CheckpointError("truncated checkpoint file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
         return out
+
+    def take_floats(self, n: int) -> np.ndarray:
+        """``n`` little-endian doubles, read straight into a fresh array."""
+        self._claim(8 * n)
+        out = np.empty(n, dtype="<f8")
+        if self.fh.readinto(out) != 8 * n:
+            raise CheckpointError("truncated checkpoint file")
+        return out.astype(np.float64, copy=False)
 
 
 def load_checkpoint(path: str) -> Model:
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    magic, version, kind_code = r.take("<4sIB")
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if kind_code >= len(KINDS):
-        raise CheckpointError(f"unknown model kind code {kind_code}")
-    stacks, hidden, kernel, pool, t, c, h, w = r.take("<8I")
-    try:
-        spec = ModelSpec(
-            kind=KINDS[kind_code],
-            stacks=stacks,
-            hidden=hidden,
-            kernel=kernel,
-            pool_factor=pool,
-            in_t=t,
-            in_c=c,
-            in_h=h,
-            in_w=w,
-        )
-    except ValueError as exc:
-        raise CheckpointError(f"invalid model spec: {exc}") from None
-    (count,) = r.take("<I")
-    named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.take("<I")
+        r = _Reader(fh)
+        magic, version, kind_code = r.take("<4sIB")
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        if kind_code >= len(KINDS):
+            raise CheckpointError(f"unknown model kind code {kind_code}")
+        stacks, hidden, kernel, pool, t, c, h, w = r.take("<8I")
         try:
-            name = r.take_bytes(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError("tensor name is not UTF-8") from None
-        (rank,) = r.take("<I")
-        shape = r.take(f"<{rank}I")
-        # Python ints: np.prod would wrap extents such as (2**32-1, 2**32-1)
-        n_vals = math.prod(shape)
-        raw = r.take_bytes(8 * n_vals)
-        try:
-            named[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        except ValueError:  # over 64 axes, or an empty shape too large to index
-            raise CheckpointError(f"tensor {name}: unusable shape {shape}") from None
-    if r.pos != len(r.data):
-        raise CheckpointError("trailing bytes after last tensor")
+            spec = ModelSpec(
+                kind=KINDS[kind_code],
+                stacks=stacks,
+                hidden=hidden,
+                kernel=kernel,
+                pool_factor=pool,
+                in_t=t,
+                in_c=c,
+                in_h=h,
+                in_w=w,
+            )
+        except ValueError as exc:
+            raise CheckpointError(f"invalid model spec: {exc}") from None
+        (count,) = r.take("<I")
+        named: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = r.take("<I")
+            try:
+                name = r.take_bytes(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError("tensor name is not UTF-8") from None
+            (rank,) = r.take("<I")
+            shape = r.take(f"<{rank}I")
+            # Python ints: np.prod would wrap extents such as (2**32-1, 2**32-1)
+            n_vals = math.prod(shape)
+            values = r.take_floats(n_vals)
+            try:
+                named[name] = values.reshape(shape)
+            except ValueError:  # over 64 axes, or an empty shape too large to index
+                raise CheckpointError(f"tensor {name}: unusable shape {shape}") from None
+        if r.left:
+            raise CheckpointError("trailing bytes after last tensor")
     # every stack owns tensors, so this bounds param_shapes by the file size
     if spec.kind != "linear" and spec.stacks > len(named):
         raise CheckpointError(f"{spec.stacks} stacks, but only {len(named)} tensors")

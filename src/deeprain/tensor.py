@@ -88,24 +88,6 @@ def _col2im(dcols: np.ndarray, c: int, kh: int, kw: int, h: int, w: int) -> np.n
     return np.add.reduce(buf, axis=0, initial=0.0)[:, ph : ph + h, pw : pw + w]
 
 
-def _conv2d_parts(input: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Shared forward machinery: validate, im2col, multiply; no bias."""
-    if input.ndim != 3:
-        raise ShapeError("conv2d", "input", f"expected rank 3, got rank {input.ndim}")
-    if kernels.ndim != 4:
-        raise ShapeError("conv2d", "kernels", f"expected rank 4, got rank {kernels.ndim}")
-    c, h, w = input.shape
-    o, kc, kh, kw = kernels.shape
-    if kc != c:
-        raise ShapeError(
-            "conv2d", "channel", f"input has {c} channels, kernels expect {kc}"
-        )
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError("conv2d", "kernel extent", f"extents must be odd, got {kh}x{kw}")
-    cols = _im2col(input, kh, kw)
-    return (kernels.reshape(o, c * kh * kw) @ cols).reshape(o, h, w)
-
-
 def conv2d(
     input: np.ndarray,
     kernels: np.ndarray,
@@ -118,17 +100,26 @@ def conv2d(
     kernels[o,c,dy,dx] * padded_input[c, y+dy-Kh//2, x+dx-Kw//2], with zero
     fill outside the input.
     """
-    o = kernels.shape[0]
+    if input.ndim != 3:
+        raise ShapeError("conv2d", "input", f"expected rank 3, got rank {input.ndim}")
+    if kernels.ndim != 4:
+        raise ShapeError("conv2d", "kernels", f"expected rank 4, got rank {kernels.ndim}")
+    c, h, w = input.shape
+    o, kc, kh, kw = kernels.shape
     if bias is not None and bias.shape != (o,):
         raise ShapeError("conv2d", "bias", f"expected shape ({o},), got {bias.shape}")
-    out = _conv2d_parts(input, kernels)
-    if bias is not None:
-        out = out + bias[:, None, None]
-    return out
+    if kc != c:
+        raise ShapeError(
+            "conv2d", "channel", f"input has {c} channels, kernels expect {kc}"
+        )
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError("conv2d", "kernel extent", f"extents must be odd, got {kh}x{kw}")
+    out = (kernels.reshape(o, c * kh * kw) @ _im2col(input, kh, kw)).reshape(o, h, w)
+    return out if bias is None else out + bias[:, None, None]
 
 
-def affine(input: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """weight [M,N] @ input [N] + bias [M] -> [M]."""
+def affine(input: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """weight [M,N] @ input [N] + bias [M] -> [M]; no bias term when ``bias`` is None."""
     if input.ndim != 1:
         raise ShapeError("affine", "input", f"expected rank 1, got rank {input.ndim}")
     if weight.ndim != 2:
@@ -138,6 +129,8 @@ def affine(input: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarra
         raise ShapeError(
             "affine", "inner extent", f"input has {input.shape[0]}, weight expects {n}"
         )
+    if bias is None:
+        return weight @ input
     if bias.shape != (m,):
         raise ShapeError("affine", "bias", f"expected shape ({m},), got {bias.shape}")
     return weight @ input + bias

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """One training run's settings. ``threads`` is accepted and has no
+    effect: records run one at a time, in order."""
+
     model: ModelSpec
     optimizer: str = "adam"
     lr: float = 0.001
@@ -66,8 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "gd"):
             raise ValueError(f"optimizer must be 'adam' or 'gd', got {self.optimizer!r}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -114,13 +116,6 @@ def rmse(predictions, truths) -> float:
     # multiplication yields inf, and inf must flow to the divergence check
     total = math.fsum((p - t) * (p - t) for p, t in zip(preds, trues))
     return math.sqrt(total / len(preds))
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _predict_inputs(model: Model, inputs) -> float:
@@ -208,11 +203,7 @@ def train(
                 adam_step(adam, params, grads)
             else:
                 sgd_step(cfg.lr, params, grads)
-        val_preds = _map_ordered(
-            lambda idx: _predict_inputs(model, cache[idx]),
-            dataset_split.validation,
-            cfg.threads,
-        )
+        val_preds = [_predict_inputs(model, cache[idx]) for idx in dataset_split.validation]
         val_rmse = rmse(val_preds, [labels[i] for i in dataset_split.validation])
         if not math.isfinite(val_rmse):
             raise DivergenceError(epoch, None, val_rmse)
@@ -238,19 +229,15 @@ def evaluate(
     model: Model,
     records: list[RadarRecord],
     indices=None,
-    threads: int = 1,
     clamp: bool = False,
 ) -> float:
     """RMSE over the given records; invariant under their ordering."""
     idxs = list(indices) if indices is not None else list(range(len(records)))
     if not idxs:
         raise ValueError("evaluate: empty record set")
-
-    def one(idx: int) -> float:
-        value = _predict_inputs(model, preprocess(records[idx].frames, model.spec))
-        return max(0.0, value) if clamp else value
-
-    preds = _map_ordered(one, idxs, threads)
+    preds = [_predict_inputs(model, preprocess(records[i].frames, model.spec)) for i in idxs]
+    if clamp:
+        preds = [max(0.0, p) for p in preds]
     return rmse(preds, [records[i].label for i in idxs])
 
 

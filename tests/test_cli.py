@@ -193,6 +193,25 @@ class TestUsageErrors:
     def test_even_kernel_rejected_at_parse_time(self):
         assert main(["train", "--data", "x", "--kernel", "4"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--stacks", "0"],
+        ["train", "--hidden", "0"],
+        ["train", "--pool", "0"],
+        ["train", "--batch", "0"],
+        ["train", "--epochs", "0"],
+        ["train", "--patience", "0"],
+        ["train", "--lr", "-1"],
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "inf"],
+        ["gradcheck", "--stacks", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+    def test_out_of_range_number_rejected_at_parse_time(self, argv, tmp_path, capsys):
+        data, _ = make_binary(tmp_path, count=20)
+        command, flag, value = argv
+        extra = ["--data", str(data), "--model", "linear"] if command == "train" else []
+        assert main([command, *extra, flag, value]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+
 
 class TestThreads:
     def test_env_fallback(self, tmp_path, monkeypatch):

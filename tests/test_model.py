@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,23 @@ class TestCheckpoint:
         del named["linear.weight"]
         assert model.named_parameters()["linear.bias"][0] == 2.5
         assert "linear.weight" in model.named_parameters()
+
+    def test_load_holds_the_data_once(self, tmp_path):
+        # 82k weights: reading the whole file, slicing each tensor out of it
+        # and converting the slice would peak at three times the file's size
+        spec = ModelSpec("linear", in_t=5, in_c=4, in_h=64, in_w=64)
+        model = init_params(spec, 2)
+        path = tmp_path / "model.drnp"
+        save_checkpoint(str(path), model)
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for name, arr in model.named_parameters().items():
+            assert np.array_equal(back.named_parameters()[name], arr)
+        assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
 
     def test_roundtrip_preserves_predictions(self, tmp_path):
         spec = ModelSpec("conv-lstm", stacks=1, hidden=2, in_t=2, in_c=1, in_h=4, in_w=4)

@@ -81,6 +81,8 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(model=spec, lr=-1.0)
         with pytest.raises(ValueError):
+            TrainConfig(model=spec, lr=math.nan)
+        with pytest.raises(ValueError):
             TrainConfig(model=spec, batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(model=spec, max_epochs=0)
