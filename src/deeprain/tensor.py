@@ -39,11 +39,9 @@ class ShapeError(ValueError):
         super().__init__(f"{op}: {axis}: {detail}")
 
 
-def as_tensor(values, shape=None) -> np.ndarray:
+def as_tensor(values) -> np.ndarray:
     """Coerce nested lists or arrays to a C-contiguous float64 tensor."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     return arr

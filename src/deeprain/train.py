@@ -168,19 +168,14 @@ def train(
 
     Per epoch: seeded minibatch reshuffle, mean-squared-error loss averaged
     over the batch, one optimizer step per batch. Train RMSE uses the
-    predictions collected before each batch update; validation RMSE uses the
-    end-of-epoch parameters. Stops after ``early_stop_patience`` epochs
-    without validation improvement.
+    predictions collected before each batch update; validation RMSE is
+    ``evaluate`` with the end-of-epoch parameters. Stops after
+    ``early_stop_patience`` epochs without validation improvement.
     """
     if not dataset_split.train or not dataset_split.validation:
         raise ValueError("train: training and validation sets must be nonempty")
     model = init_params(cfg.model, cfg.seed)
     params = model.named_parameters()
-    cache = {
-        idx: preprocess(records[idx].frames, cfg.model)
-        for idx in (*dataset_split.train, *dataset_split.validation)
-    }
-    labels = {idx: records[idx].label for idx in cache}
     adam = AdamState(lr=cfg.lr) if cfg.optimizer == "adam" else None
 
     result = TrainResult(model=model)
@@ -193,8 +188,12 @@ def train(
         for batch_no, batch in enumerate(
             minibatches(dataset_split.train, cfg.batch_size, epoch, cfg.seed)
         ):
-            truth = [labels[idx] for idx in batch]
-            preds, loss, grads = minibatch_gradient(model, [cache[idx] for idx in batch], truth)
+            truth = [records[idx].label for idx in batch]
+            # The preprocessed batch has no name, so it is freed before the next
+            # one is built: memory is bounded by one batch, not by the dataset
+            preds, loss, grads = minibatch_gradient(
+                model, [preprocess(records[idx].frames, cfg.model) for idx in batch], truth
+            )
             epoch_preds += preds
             epoch_truth += truth
             if not math.isfinite(loss):
@@ -203,8 +202,7 @@ def train(
                 adam_step(adam, params, grads)
             else:
                 sgd_step(cfg.lr, params, grads)
-        val_preds = [_predict_inputs(model, cache[idx]) for idx in dataset_split.validation]
-        val_rmse = rmse(val_preds, [labels[i] for i in dataset_split.validation])
+        val_rmse = evaluate(model, records, dataset_split.validation)
         if not math.isfinite(val_rmse):
             raise DivergenceError(epoch, None, val_rmse)
         train_rmse = rmse(epoch_preds, epoch_truth)

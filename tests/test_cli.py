@@ -214,19 +214,23 @@ class TestUsageErrors:
 
 
 class TestThreads:
-    def test_env_fallback(self, tmp_path, monkeypatch):
+    def test_accepted_and_ignored(self, tmp_path, monkeypatch, capsys):
+        # Records run in order on one thread: neither --threads nor the
+        # DEEPRAIN_THREADS variable it once fell back to may move a bit.
         data, _ = make_binary(tmp_path, count=20)
-        monkeypatch.setenv("DEEPRAIN_THREADS", "4")
-        curve_env = tmp_path / "c_env.csv"
-        assert main([
-            "train", "--data", str(data), "--model", "linear",
-            "--epochs", "2", "--batch", "8", "--seed", "5", "--curve", str(curve_env),
-        ]) == 0
-        monkeypatch.delenv("DEEPRAIN_THREADS")
-        curve_one = tmp_path / "c_one.csv"
-        assert main([
-            "train", "--data", str(data), "--model", "linear",
-            "--epochs", "2", "--batch", "8", "--seed", "5", "--curve", str(curve_one),
-            "--threads", "1",
-        ]) == 0
-        assert curve_env.read_bytes() == curve_one.read_bytes()
+        artifacts = []
+        for run, extra in (("plain", []), ("threads", ["--threads", "4"])):
+            if extra:
+                monkeypatch.setenv("DEEPRAIN_THREADS", "4")
+            curve, ckpt = tmp_path / f"c_{run}.csv", tmp_path / f"m_{run}.drnp"
+            assert main([
+                "train", "--data", str(data), "--model", "linear", "--epochs", "2",
+                "--batch", "8", "--seed", "5", "--curve", str(curve), "--ckpt", str(ckpt),
+                *extra,
+            ]) == 0
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", str(tmp_path / "m_plain.drnp"), "--data", str(data),
+                         "--seed", "5", *extra]) == 0
+            artifacts.append((curve.read_bytes(), ckpt.read_bytes(), capsys.readouterr().out))
+        assert "test_rmse=" in artifacts[0][2]
+        assert artifacts[0] == artifacts[1]

@@ -246,6 +246,23 @@ class TestStreamedBatch:
                 tracemalloc.stop()
         assert peaks[32] <= 1.25 * peaks[2], peaks
 
+    @pytest.mark.parametrize("kind", ["linear", "fc-lstm", "conv-lstm"])
+    def test_train_memory_does_not_grow_with_record_count(self, kind):
+        # Each batch preprocesses its own records: 200 records cost what 20
+        # do. With every record kept preprocessed for the run it cost 3-7x more.
+        spec = ModelSpec(kind, stacks=1, hidden=4, kernel=3, in_t=3, in_c=2, in_h=16, in_w=16)
+        peaks = {}
+        for count in (20, 200):
+            records = synth_generate(SynthConfig(count=count, t=3, c=2, h=16, w=16, seed=4))
+            sp = split(count, (0.8, 0.1, 0.1), seed=4)
+            tracemalloc.start()
+            try:
+                train(TrainConfig(model=spec, batch_size=4, max_epochs=1, seed=4), records, sp)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 1.25 * peaks[20], peaks
+
 
 class TestEvaluate:
     def test_zero_model_on_matching_constant_labels(self):
