@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Train the criterion-8 fixture through the CLI and print the SHA-256 of
-its learning-curve CSV, of its DRNP checkpoint and of the stdout of
-``deeprain eval`` on that checkpoint and fixture (seed 17), then the SHA-256
-of the ``deeprain gradcheck --seed 42`` output for each model kind.
+"""Write the criterion-8 fixture, train it through the CLI and print the
+SHA-256 of its DRN1 file, of its learning-curve CSV, of its DRNP checkpoint
+and of the stdout of ``deeprain eval`` on that checkpoint and fixture
+(seed 17), then the SHA-256 of the ``deeprain gradcheck --seed 42`` output
+for each model kind.
 
 Usage: python3 scripts/fixture_digest.py
 
@@ -10,8 +11,8 @@ The fixture is the one acceptance criterion 8 trains: 60 synthetic 3x1x6x6
 records (config seed 8), a 1x4 ConvLSTM, 3 epochs, batch 10, seed 17. The
 gradcheck runs cover linear, and FC-LSTM and ConvLSTM at 1 and 2 stacks
 (the linear model has no stacks). Two checkouts that print the same hashes
-train bit-identical artifacts, predict bit-identical test RMSEs and compute
-bit-identical gradients.
+write byte-identical datasets, train bit-identical artifacts, predict
+bit-identical test RMSEs and compute bit-identical gradients.
 """
 
 import contextlib
@@ -44,7 +45,7 @@ def main() -> int:
         if code != 0:
             print(f"training failed with exit code {code}", file=sys.stderr)
             return code
-        for name, path in (("curve", curve), ("checkpoint", ckpt)):
+        for name, path in (("data", data), ("curve", curve), ("checkpoint", ckpt)):
             with open(path, "rb") as fh:
                 print(f"{name} {hashlib.sha256(fh.read()).hexdigest()}")
         out = io.StringIO()

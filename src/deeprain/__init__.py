@@ -12,7 +12,6 @@ from .data import (
     RadarRecord,
     SynthConfig,
     minibatches,
-    normalize,
     parse_text_file,
     parse_text_record,
     read_binary,

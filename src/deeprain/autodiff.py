@@ -62,14 +62,15 @@ class Tape:
     def const(self, value: np.ndarray) -> Node:
         return self._record(T.as_tensor(value), "const", (), None, needs_grad=False)
 
-    def _record(self, value, op, parents, vjp, needs_grad) -> Node:
+    def _record(self, value, op, parents, vjp, needs_grad=None) -> Node:
+        """Append a node; it needs a gradient when any parent does, unless
+        ``needs_grad`` says otherwise (the leaves)."""
+        if needs_grad is None:
+            needs_grad = any([p.needs_grad for p in parents])
         node = Node(value, op, parents, vjp, needs_grad)
         self.nodes.append(node)
         self._forward_done = False
         return node
-
-    def _unary(self, op, x: Node, value, vjp):
-        return self._record(value, op, (x,), vjp, x.needs_grad)
 
     # -- primitives ------------------------------------------------------
 
@@ -96,8 +97,7 @@ class Tape:
             return (gx, gk) if bias is None else (gx, gk, gb)
 
         parents = (x, kernels) if bias is None else (x, kernels, bias)
-        needs = any(p.needs_grad for p in parents)
-        return self._record(out, "conv2d", parents, vjp, needs)
+        return self._record(out, "conv2d", parents, vjp)
 
     def affine(self, x: Node, weight: Node, bias: Node | None = None) -> Node:
         out = T.affine(x.value, weight.value, None if bias is None else bias.value)
@@ -110,8 +110,7 @@ class Tape:
             return gx, gw, (g if bias.needs_grad else None)
 
         parents = (x, weight) if bias is None else (x, weight, bias)
-        needs = any(p.needs_grad for p in parents)
-        return self._record(out, "affine", parents, vjp, needs)
+        return self._record(out, "affine", parents, vjp)
 
     def concat0(self, items: list[Node]) -> Node:
         """Concatenate along axis 0 (stacks per-gate weights for fused steps)."""
@@ -127,8 +126,7 @@ class Tape:
                 for i, it in enumerate(items)
             )
 
-        needs = any(it.needs_grad for it in items)
-        return self._record(out, "concat0", tuple(items), vjp, needs)
+        return self._record(out, "concat0", tuple(items), vjp)
 
     def slice0(self, x: Node, start: int, stop: int) -> Node:
         """Contiguous slice along axis 0; the inverse of concat0 for fan-out."""
@@ -139,15 +137,15 @@ class Tape:
             gx[start:stop] = g
             return (gx,)
 
-        return self._unary("slice0", x, out, vjp)
+        return self._record(out, "slice0", (x,), vjp)
 
     def sigmoid(self, x: Node) -> Node:
         out = T.map_sigmoid(x.value)
-        return self._unary("sigmoid", x, out, lambda g: (g * out * (1.0 - out),))
+        return self._record(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
 
     def tanh(self, x: Node) -> Node:
         out = T.map_tanh(x.value)
-        return self._unary("tanh", x, out, lambda g: (g * (1.0 - out * out),))
+        return self._record(out, "tanh", (x,), lambda g: (g * (1.0 - out * out),))
 
     def mul(self, a: Node, b: Node) -> Node:
         out = T.hadamard(a.value, b.value)
@@ -157,13 +155,11 @@ class Tape:
             gb = g * a.value if b.needs_grad else None
             return ga, gb
 
-        return self._record(out, "mul", (a, b), vjp, a.needs_grad or b.needs_grad)
+        return self._record(out, "mul", (a, b), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         out = T.add(a.value, b.value)
-        return self._record(
-            out, "add", (a, b), lambda g: (g, g), a.needs_grad or b.needs_grad
-        )
+        return self._record(out, "add", (a, b), lambda g: (g, g))
 
     def lstm_cell(self, pre: Node, c_prev: Node, hidden: int) -> tuple[Node, Node]:
         """One LSTM state update from the stacked gate preactivations.
@@ -207,9 +203,8 @@ class Tape:
             o_grad[0] = gh * tanh_c * o * (1.0 - o)
             return (gh * o * (1.0 - tanh_c * tanh_c),)
 
-        needs = pre.needs_grad or c_prev.needs_grad
-        c_t = self._record(c_out, "lstm_cell", (pre, c_prev), c_vjp, needs)
-        h_t = self._record(h_out, "lstm_cell", (c_t,), h_vjp, c_t.needs_grad)
+        c_t = self._record(c_out, "lstm_cell", (pre, c_prev), c_vjp)
+        h_t = self._record(h_out, "lstm_cell", (c_t,), h_vjp)
         return c_t, h_t
 
     def global_avg_pool(self, x: Node) -> Node:
@@ -219,7 +214,7 @@ class Tape:
         def vjp(g):
             return (np.broadcast_to(g[:, None, None] / (h * w), x.value.shape),)
 
-        return self._unary("global_avg_pool", x, out, vjp)
+        return self._record(out, "global_avg_pool", (x,), vjp)
 
     def squared_error(self, pred: Node, target: Node) -> Node:
         """Sum of elementwise squared differences, as a [1] scalar node."""
@@ -235,8 +230,7 @@ class Tape:
             gt = -2.0 * g[0] * diff if target.needs_grad else None
             return gp, gt
 
-        needs = pred.needs_grad or target.needs_grad
-        return self._record(out, "squared_error", (pred, target), vjp, needs)
+        return self._record(out, "squared_error", (pred, target), vjp)
 
     def mean_scalars(self, items: list[Node]) -> Node:
         """Mean of [1] scalar nodes; the batch-loss reduction."""
@@ -249,8 +243,7 @@ class Tape:
             share = g / n
             return tuple(share if it.needs_grad else None for it in items)
 
-        needs = any(it.needs_grad for it in items)
-        return self._record(out, "mean_scalars", tuple(items), vjp, needs)
+        return self._record(out, "mean_scalars", tuple(items), vjp)
 
     # -- evaluation ------------------------------------------------------
 

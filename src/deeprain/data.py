@@ -1,5 +1,7 @@
 """Dataset handling: text parsing, the DRN1 binary container, deterministic
-splits and minibatches, and a synthetic radar-sequence generator.
+splits and minibatches, and a synthetic radar-sequence generator. The
+bounded reader and the atomic writer here serve both binary containers,
+DRN1 datasets and DRNP checkpoints.
 
 Text layout (one record per line, whitespace separated): the rainfall label
 first, then T*C*H*W reflectivity integers in time-major, then channel, then
@@ -40,12 +42,14 @@ __all__ = [
     "synth_generate",
     "synth_feature",
     "synth_label",
-    "normalize",
     "load_synth_config",
+    "atomic_write",
+    "BoundedReader",
 ]
 
 BINARY_MAGIC = b"DRN1"
 BINARY_VERSION = 1
+BINARY_HEADER = "<4sIIIIIQ"  # magic, version, T, C, H, W, record count
 
 
 class DataFormatError(ValueError):
@@ -76,10 +80,12 @@ class RadarRecord:
         frames = np.asarray(self.frames)
         if frames.ndim != 4:
             raise DataFormatError(f"frames must be rank 4, got rank {frames.ndim}")
+        if 0 in frames.shape:
+            raise DataFormatError(f"every extent must be at least 1, got {frames.shape}")
         if frames.dtype != np.uint8:
             if not np.issubdtype(frames.dtype, np.integer):
                 raise DataFormatError("frames must hold integers")
-            if frames.size and (frames.min() < 0 or frames.max() > 255):
+            if frames.min() < 0 or frames.max() > 255:
                 raise DataFormatError("reflectivity values must be in [0, 255]")
             frames = frames.astype(np.uint8)
         self.frames = frames
@@ -177,6 +183,59 @@ def parse_text_file(path: str, dims: tuple) -> list[RadarRecord]:
     return [parse_text_record(line, dims, line_no=line_no) for line_no, line in _text_lines(path)]
 
 
+def atomic_write(path: str, write) -> None:
+    """Call ``write(fh)`` on ``path + ".tmp"`` and rename that file over
+    ``path``; on any failure the temporary file is removed and ``path`` is
+    left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+class BoundedReader:
+    """Reads a binary file front to back, checking each length against the
+    bytes left in the file before anything is allocated. Every failure
+    raises ``error``, the format's typed error."""
+
+    def __init__(self, fh, error: type[ValueError]):
+        self.fh = fh
+        self.error = error
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise self.error("truncated file")
+        self.left -= n
+
+    def take(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
+
+    def take_bytes(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise self.error("truncated file: it shrank while read")
+        return out
+
+    def take_array(self, shape: tuple, dtype) -> np.ndarray:
+        """A fresh array of ``shape``, read straight from the file."""
+        # Python ints: np.prod would wrap extents such as (2**32-1, 2**32-1)
+        self._claim(math.prod(shape) * np.dtype(dtype).itemsize)
+        try:
+            out = np.empty(shape, dtype)
+        except ValueError:  # over 64 axes, or an empty shape too large to index
+            raise self.error(f"unusable shape {shape}") from None
+        if self.fh.readinto(out) != out.nbytes:
+            raise self.error("truncated file: it shrank while read")
+        return out
+
+
 def write_binary(records: list[RadarRecord], path: str) -> None:
     """Write the DRN1 container: header, then label + raw frame bytes per record."""
     if not records:
@@ -187,53 +246,41 @@ def write_binary(records: list[RadarRecord], path: str) -> None:
             raise DataFormatError(
                 f"record {i} has dims {rec.dims}, first record has {dims}"
             )
-    t, c, h, w = dims
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(
-                struct.pack("<4sIIIIIQ", BINARY_MAGIC, BINARY_VERSION, t, c, h, w, len(records))
-            )
-            for rec in records:
-                fh.write(struct.pack("<d", rec.label))
-                fh.write(rec.frames.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+
+    def write(fh):
+        fh.write(struct.pack(BINARY_HEADER, BINARY_MAGIC, BINARY_VERSION, *dims, len(records)))
+        for rec in records:
+            fh.write(struct.pack("<d", rec.label))
+            fh.write(rec.frames.tobytes())
+
+    atomic_write(path, write)
 
 
 def read_binary(path: str) -> list[RadarRecord]:
     """Read a DRN1 file. The header and the file size are checked before any
     record is read; each record's frames are then read straight into their
     own writable array, so the data is resident once."""
-    header = struct.calcsize("<4sIIIIIQ")
+    header = struct.calcsize(BINARY_HEADER)
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(header)
-        if len(head) < header:
+        r = BoundedReader(fh, DataFormatError)
+        size = r.left
+        if size < header:
             raise DataFormatError("bad magic: file shorter than the DRN1 header")
-        magic, version, t, c, h, w, count = struct.unpack("<4sIIIIIQ", head)
+        magic, version, t, c, h, w, count = r.take(BINARY_HEADER)
         if magic != BINARY_MAGIC:
             raise DataFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
         if version != BINARY_VERSION:
             raise DataFormatError(f"unsupported version {version}")
-        n_vals = t * c * h * w
-        expected = header + count * (8 + n_vals)
+        expected = header + count * (8 + t * c * h * w)
         if size != expected:
             raise DataFormatError(
                 f"size mismatch: header promises {count} records "
                 f"({expected} bytes), file has {size} bytes"
             )
-        records = []
-        for i in range(count):
-            label = fh.read(8)
-            frames = np.empty((t, c, h, w), np.uint8)
-            if len(label) != 8 or fh.readinto(frames) != n_vals:
-                raise DataFormatError(f"file shrank while read: record {i} is cut short")
-            records.append(RadarRecord(label=struct.unpack("<d", label)[0], frames=frames))
-    return records
+        return [
+            RadarRecord(r.take("<d")[0], r.take_array((t, c, h, w), np.uint8))
+            for _ in range(count)
+        ]
 
 
 def _fisher_yates(items: list, rng: np.random.Generator) -> list:
@@ -395,7 +442,3 @@ def synth_generate(cfg: SynthConfig) -> list[RadarRecord]:
         records.append(RadarRecord(label=max(0.0, label), frames=frames))
     return records
 
-
-def normalize(record: RadarRecord) -> np.ndarray:
-    """Reflectivity integers scaled into [0, 1] as float64 [T,C,H,W]."""
-    return record.frames.astype(np.float64) / 255.0

@@ -9,13 +9,13 @@ registers them on a tape and returns the same structure holding nodes.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import GradCheckReport, Node, Tape, grad_check
+from .data import BoundedReader, atomic_write
 from .tensor import ShapeError, avg_pool2d
 
 __all__ = [
@@ -384,75 +384,29 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str, model: Model) -> None:
-    """Write the versioned DRNP container (little-endian, bit-exact)."""
+    """Write the versioned DRNP container (little-endian, bit-exact). The
+    header and then each tensor go straight into the file, so the weights
+    are not copied."""
     spec = model.spec
-    buf = bytearray()
-    buf += struct.pack("<4sIB", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_CODE[spec.kind])
-    buf += struct.pack(
-        "<8I",
-        spec.stacks,
-        spec.hidden,
-        spec.kernel,
-        spec.pool_factor,
-        spec.in_t,
-        spec.in_c,
-        spec.in_h,
-        spec.in_w,
-    )
     named = model.named_parameters()
-    buf += struct.pack("<I", len(named))
-    for name, arr in named.items():
-        nb = name.encode("utf-8")
-        buf += struct.pack("<I", len(nb)) + nb
-        buf += struct.pack("<I", arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(buf)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
+    def write(fh):
+        fh.write(struct.pack(
+            "<4sIB8II", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_CODE[spec.kind],
+            spec.stacks, spec.hidden, spec.kernel, spec.pool_factor,
+            spec.in_t, spec.in_c, spec.in_h, spec.in_w, len(named),
+        ))
+        for name, arr in named.items():
+            nb = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
-class _Reader:
-    """Reads a checkpoint front to back, checking each length against the
-    bytes left in the file before anything is allocated."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size
-
-    def _claim(self, n: int) -> None:
-        if n > self.left:
-            raise CheckpointError("truncated checkpoint file")
-        self.left -= n
-
-    def take(self, fmt: str):
-        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
-
-    def take_bytes(self, n: int) -> bytes:
-        self._claim(n)
-        out = self.fh.read(n)
-        if len(out) != n:
-            raise CheckpointError("truncated checkpoint file")
-        return out
-
-    def take_floats(self, n: int) -> np.ndarray:
-        """``n`` little-endian doubles, read straight into a fresh array."""
-        self._claim(8 * n)
-        out = np.empty(n, dtype="<f8")
-        if self.fh.readinto(out) != 8 * n:
-            raise CheckpointError("truncated checkpoint file")
-        return out.astype(np.float64, copy=False)
+    atomic_write(path, write)
 
 
 def load_checkpoint(path: str) -> Model:
     with open(path, "rb") as fh:
-        r = _Reader(fh)
+        r = BoundedReader(fh, CheckpointError)
         magic, version, kind_code = r.take("<4sIB")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -485,13 +439,7 @@ def load_checkpoint(path: str) -> Model:
                 raise CheckpointError("tensor name is not UTF-8") from None
             (rank,) = r.take("<I")
             shape = r.take(f"<{rank}I")
-            # Python ints: np.prod would wrap extents such as (2**32-1, 2**32-1)
-            n_vals = math.prod(shape)
-            values = r.take_floats(n_vals)
-            try:
-                named[name] = values.reshape(shape)
-            except ValueError:  # over 64 axes, or an empty shape too large to index
-                raise CheckpointError(f"tensor {name}: unusable shape {shape}") from None
+            named[name] = r.take_array(shape, "<f8").astype(np.float64, copy=False)
         if r.left:
             raise CheckpointError("trailing bytes after last tensor")
     # every stack owns tensors, so this bounds param_shapes by the file size

@@ -159,6 +159,10 @@ class TestGradcheckCommand:
 
 
 class TestSelftestCommand:
+    def test_every_built_in_check_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        assert "selftest: 15/15 checks passed" in capsys.readouterr().out
+
     def test_harness_reports_failures(self, capsys):
         def check_always_fails():
             raise AssertionError("broken on purpose")

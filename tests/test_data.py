@@ -12,7 +12,6 @@ from deeprain.data import (
     SynthConfig,
     load_synth_config,
     minibatches,
-    normalize,
     parse_text_file,
     parse_text_record,
     read_binary,
@@ -177,6 +176,34 @@ class TestBinaryFormat:
             tracemalloc.stop()
         assert back == records
         assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_zero_extent_header_rejected_at_first_record(self, tmp_path):
+        # T=0 and 100,000 labels pass the size check; one empty record per
+        # label would peak at 48 times the file's size
+        path = tmp_path / "empty-frames.drn1"
+        count = 100_000
+        path.write_bytes(
+            struct.pack("<4sIIIIIQ", b"DRN1", 1, 0, 4, 101, 101, count)
+            + struct.pack(f"<{count}d", *([1.0] * count))
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="at least 1"):
+                read_binary(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "set.drn1"
+        target.mkdir()
+        (target / "kept").write_bytes(b"x")
+        with pytest.raises(OSError):
+            write_binary(tiny_records(), str(target))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["set.drn1"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
+        assert (target / "kept").read_bytes() == b"x"
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -343,11 +370,10 @@ class TestSynthConfigFile:
 
 
 class TestRecordValidation:
-    def test_normalize_scales(self):
-        rec = RadarRecord(label=1.0, frames=np.array([[[[0, 51], [255, 102]]]]))
-        out = normalize(rec)
-        assert out.dtype == np.float64
-        assert np.allclose(out, [[[[0.0, 0.2], [1.0, 0.4]]]])
+    @pytest.mark.parametrize("dims", [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)])
+    def test_zero_extent_rejected(self, dims):
+        with pytest.raises(DataFormatError, match="at least 1"):
+            RadarRecord(label=1.0, frames=np.zeros(dims, dtype=np.uint8))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataFormatError, match=r"\[0, 255\]"):

@@ -458,6 +458,33 @@ class TestCheckpoint:
             assert np.array_equal(back.named_parameters()[name], arr)
         assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
 
+    def test_save_holds_the_data_once(self, tmp_path):
+        # 612k weights, a 4.9 MB file: building the file in memory before
+        # writing it would peak at twice the file's size
+        spec = ModelSpec("linear", in_t=15, in_c=4, in_h=101, in_w=101)
+        model = init_params(spec, 2)
+        path = tmp_path / "model.drnp"
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(path), model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
+        for name, arr in model.named_parameters().items():
+            assert np.array_equal(load_checkpoint(str(path)).named_parameters()[name], arr)
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "model.drnp"
+        target.mkdir()
+        (target / "kept").write_bytes(b"x")
+        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        with pytest.raises(OSError):
+            save_checkpoint(str(target), init_params(spec, 0))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.drnp"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
+        assert (target / "kept").read_bytes() == b"x"
+
     def test_roundtrip_preserves_predictions(self, tmp_path):
         spec = ModelSpec("conv-lstm", stacks=1, hidden=2, in_t=2, in_c=1, in_h=4, in_w=4)
         model = init_params(spec, 3)
