@@ -24,18 +24,16 @@ class GraphError(RuntimeError):
 
 
 class Node:
-    """One value in the graph: payload, provenance, and its backward rule."""
+    """One value in the graph: its payload, the nodes it was computed from,
+    and the VJP that maps its gradient to theirs (None for a leaf)."""
 
-    __slots__ = ("value", "op", "parents", "vjp", "needs_grad", "grad", "_pending")
+    __slots__ = ("value", "parents", "vjp", "needs_grad")
 
-    def __init__(self, value, op, parents, vjp, needs_grad):
+    def __init__(self, value, parents, vjp, needs_grad):
         self.value = value
-        self.op = op
         self.parents = parents
         self.vjp = vjp
         self.needs_grad = needs_grad
-        self.grad = None
-        self._pending = []
 
     @property
     def shape(self):
@@ -55,19 +53,19 @@ class Tape:
     def param(self, name: str, value: np.ndarray) -> Node:
         if name in self.params:
             raise GraphError(f"duplicate parameter name {name!r}")
-        node = self._record(T.as_tensor(value), "param", (), None, needs_grad=True)
+        node = self._record(T.as_tensor(value), (), None, needs_grad=True)
         self.params[name] = node
         return node
 
     def const(self, value: np.ndarray) -> Node:
-        return self._record(T.as_tensor(value), "const", (), None, needs_grad=False)
+        return self._record(T.as_tensor(value), (), None, needs_grad=False)
 
-    def _record(self, value, op, parents, vjp, needs_grad=None) -> Node:
+    def _record(self, value, parents, vjp, needs_grad=None) -> Node:
         """Append a node; it needs a gradient when any parent does, unless
         ``needs_grad`` says otherwise (the leaves)."""
         if needs_grad is None:
             needs_grad = any([p.needs_grad for p in parents])
-        node = Node(value, op, parents, vjp, needs_grad)
+        node = Node(value, parents, vjp, needs_grad)
         self.nodes.append(node)
         self._forward_done = False
         return node
@@ -97,7 +95,7 @@ class Tape:
             return (gx, gk) if bias is None else (gx, gk, gb)
 
         parents = (x, kernels) if bias is None else (x, kernels, bias)
-        return self._record(out, "conv2d", parents, vjp)
+        return self._record(out, parents, vjp)
 
     def affine(self, x: Node, weight: Node, bias: Node | None = None) -> Node:
         out = T.affine(x.value, weight.value, None if bias is None else bias.value)
@@ -110,7 +108,7 @@ class Tape:
             return gx, gw, (g if bias.needs_grad else None)
 
         parents = (x, weight) if bias is None else (x, weight, bias)
-        return self._record(out, "affine", parents, vjp)
+        return self._record(out, parents, vjp)
 
     def concat0(self, items: list[Node]) -> Node:
         """Concatenate along axis 0 (stacks per-gate weights for fused steps)."""
@@ -126,7 +124,7 @@ class Tape:
                 for i, it in enumerate(items)
             )
 
-        return self._record(out, "concat0", tuple(items), vjp)
+        return self._record(out, tuple(items), vjp)
 
     def slice0(self, x: Node, start: int, stop: int) -> Node:
         """Contiguous slice along axis 0; the inverse of concat0 for fan-out."""
@@ -137,15 +135,15 @@ class Tape:
             gx[start:stop] = g
             return (gx,)
 
-        return self._record(out, "slice0", (x,), vjp)
+        return self._record(out, (x,), vjp)
 
     def sigmoid(self, x: Node) -> Node:
         out = T.map_sigmoid(x.value)
-        return self._record(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
+        return self._record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
     def tanh(self, x: Node) -> Node:
         out = T.map_tanh(x.value)
-        return self._record(out, "tanh", (x,), lambda g: (g * (1.0 - out * out),))
+        return self._record(out, (x,), lambda g: (g * (1.0 - out * out),))
 
     def mul(self, a: Node, b: Node) -> Node:
         out = T.hadamard(a.value, b.value)
@@ -155,11 +153,11 @@ class Tape:
             gb = g * a.value if b.needs_grad else None
             return ga, gb
 
-        return self._record(out, "mul", (a, b), vjp)
+        return self._record(out, (a, b), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         out = T.add(a.value, b.value)
-        return self._record(out, "add", (a, b), lambda g: (g, g))
+        return self._record(out, (a, b), lambda g: (g, g))
 
     def lstm_cell(self, pre: Node, c_prev: Node, hidden: int) -> tuple[Node, Node]:
         """One LSTM state update from the stacked gate preactivations.
@@ -203,8 +201,8 @@ class Tape:
             o_grad[0] = gh * tanh_c * o * (1.0 - o)
             return (gh * o * (1.0 - tanh_c * tanh_c),)
 
-        c_t = self._record(c_out, "lstm_cell", (pre, c_prev), c_vjp)
-        h_t = self._record(h_out, "lstm_cell", (c_t,), h_vjp)
+        c_t = self._record(c_out, (pre, c_prev), c_vjp)
+        h_t = self._record(h_out, (c_t,), h_vjp)
         return c_t, h_t
 
     def global_avg_pool(self, x: Node) -> Node:
@@ -214,7 +212,7 @@ class Tape:
         def vjp(g):
             return (np.broadcast_to(g[:, None, None] / (h * w), x.value.shape),)
 
-        return self._record(out, "global_avg_pool", (x,), vjp)
+        return self._record(out, (x,), vjp)
 
     def squared_error(self, pred: Node, target: Node) -> Node:
         """Sum of elementwise squared differences, as a [1] scalar node."""
@@ -230,7 +228,7 @@ class Tape:
             gt = -2.0 * g[0] * diff if target.needs_grad else None
             return gp, gt
 
-        return self._record(out, "squared_error", (pred, target), vjp)
+        return self._record(out, (pred, target), vjp)
 
     def mean_scalars(self, items: list[Node]) -> Node:
         """Mean of [1] scalar nodes; the batch-loss reduction."""
@@ -243,7 +241,7 @@ class Tape:
             share = g / n
             return tuple(share if it.needs_grad else None for it in items)
 
-        return self._record(out, "mean_scalars", tuple(items), vjp)
+        return self._record(out, tuple(items), vjp)
 
     # -- evaluation ------------------------------------------------------
 
@@ -262,34 +260,32 @@ class Tape:
     def backward(self) -> dict[str, np.ndarray]:
         """Gradient of the terminal loss for every registered parameter.
 
-        A node's gradient is dropped as soon as its VJP has consumed it, so
-        only the parameter leaves hold ``grad`` afterwards; the node values
-        and VJPs stay, and ``backward`` can run again on the same tape.
+        The walk keeps each node's pending gradient contributions, and the
+        leaf gradients, in dicts of its own: a node's contributions are
+        dropped as soon as its VJP has consumed them, and the tape keeps no
+        state from one call to the next, so ``backward`` can run again.
         """
         if not self._forward_done:
             raise GraphError("backward called before forward")
-        for node in self.nodes:
-            node.grad = None
-            node._pending = []
-        loss = self.nodes[-1]
-        loss._pending.append(np.ones(1))
+        pending = {self.nodes[-1]: [np.ones(1)]}
+        leaf_grads = {}
         for node in reversed(self.nodes):
-            if not node._pending or not node.needs_grad:
+            contribs = pending.pop(node, None)
+            if contribs is None or not node.needs_grad:
                 continue
             # Contributions arrived in reverse consumer order; sum them in
             # creation order for a reproducible accumulation sequence.
-            acc = node._pending[-1]
-            for contrib in reversed(node._pending[:-1]):
+            acc = contribs[-1]
+            for contrib in reversed(contribs[:-1]):
                 acc = acc + contrib
-            node._pending = []
             if node.vjp is None:
-                node.grad = acc
+                leaf_grads[node] = acc
                 continue
             for parent, contrib in zip(node.parents, node.vjp(acc)):
                 if contrib is not None and parent.needs_grad:
-                    parent._pending.append(contrib)
+                    pending.setdefault(parent, []).append(contrib)
         return {
-            name: (p.grad if p.grad is not None else np.zeros_like(p.value))
+            name: leaf_grads[p] if p in leaf_grads else np.zeros_like(p.value)
             for name, p in self.params.items()
         }
 

@@ -145,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_convert(args) -> int:
     records = parse_text_file(args.src, args.dims)
-    if not records:
-        raise DataFormatError("input contains no records")
     write_binary(records, args.dst)
     text_size = os.path.getsize(args.src)
     bin_size = os.path.getsize(args.dst)
@@ -165,8 +163,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     records = read_binary(args.data)
-    if not records:
-        raise DataFormatError("dataset is empty")
     t, c, h, w = records[0].dims
     spec = ModelSpec(
         kind=args.model,
@@ -207,8 +203,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     records = read_binary(args.data)
-    if not records:
-        raise DataFormatError("dataset is empty")
     dims = records[0].dims
     spec_dims = (model.spec.in_t, model.spec.in_c, model.spec.in_h, model.spec.in_w)
     if dims != spec_dims:

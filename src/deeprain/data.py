@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,8 @@ def read_binary(path: str) -> list[RadarRecord]:
             raise DataFormatError(f"bad magic {magic!r}, expected {BINARY_MAGIC!r}")
         if version != BINARY_VERSION:
             raise DataFormatError(f"unsupported version {version}")
+        if count == 0:
+            raise DataFormatError("empty dataset: the header declares no records")
         expected = header + count * (8 + t * c * h * w)
         if size != expected:
             raise DataFormatError(
@@ -349,17 +352,7 @@ class SynthConfig:
             raise ValueError("SynthConfig.seed must be >= 0")
 
 
-_SYNTH_KEYS = {
-    "count": int,
-    "t": int,
-    "c": int,
-    "h": int,
-    "w": int,
-    "noise": float,
-    "a": float,
-    "b": float,
-    "seed": int,
-}
+_SYNTH_KEYS = typing.get_type_hints(SynthConfig)  # key -> type, in field order
 
 
 def load_synth_config(path: str) -> SynthConfig:

@@ -430,6 +430,16 @@ def load_checkpoint(path: str) -> Model:
         except ValueError as exc:
             raise CheckpointError(f"invalid model spec: {exc}") from None
         (count,) = r.take("<I")
+        # A tensor takes at least 12 bytes (name length, rank, one extent)
+        # and every stack owns tensors, so param_shapes is bounded by the
+        # file's size before it is built.
+        if 12 * count > r.left:
+            raise CheckpointError(f"truncated file: {count} tensors in {r.left} bytes")
+        if spec.kind != "linear" and spec.stacks > count:
+            raise CheckpointError(f"{spec.stacks} stacks, but only {count} tensors")
+        expected = param_shapes(spec)
+        if count != len(expected):
+            raise CheckpointError(f"{count} tensors, spec expects {len(expected)}")
         named: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = r.take("<I")
@@ -437,22 +447,17 @@ def load_checkpoint(path: str) -> Model:
                 name = r.take_bytes(name_len).decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError("tensor name is not UTF-8") from None
+            if name in named:
+                raise CheckpointError(f"tensor {name!r} appears twice")
+            if name not in expected:
+                raise CheckpointError(f"tensor {name!r} is not a parameter of the spec")
             (rank,) = r.take("<I")
             shape = r.take(f"<{rank}I")
             named[name] = r.take_array(shape, "<f8").astype(np.float64, copy=False)
+            if shape != expected[name]:
+                raise CheckpointError(
+                    f"tensor {name}: shape {shape}, spec expects {expected[name]}"
+                )
         if r.left:
             raise CheckpointError("trailing bytes after last tensor")
-    # every stack owns tensors, so this bounds param_shapes by the file size
-    if spec.kind != "linear" and spec.stacks > len(named):
-        raise CheckpointError(f"{spec.stacks} stacks, but only {len(named)} tensors")
-    expected = param_shapes(spec)
-    if set(named) != set(expected):
-        missing = sorted(set(expected) - set(named))
-        extra = sorted(set(named) - set(expected))
-        raise CheckpointError(f"parameter name mismatch: missing={missing} extra={extra}")
-    for name, shape in expected.items():
-        if named[name].shape != shape:
-            raise CheckpointError(
-                f"tensor {name}: shape {named[name].shape}, spec expects {shape}"
-            )
     return Model.from_named(spec, named)

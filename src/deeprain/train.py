@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .data import DatasetSplit, RadarRecord, minibatches
-from .model import Model, ModelSpec, build_prediction, init_params, lift, preprocess
+from .model import Model, ModelSpec, build_prediction, init_params, lift, predict, preprocess
 from .optim import AdamState, adam_step, sgd_step
 
 __all__ = [
@@ -52,8 +52,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """One training run's settings. ``threads`` is accepted and has no
-    effect: records run one at a time, in order."""
+    """One training run's settings."""
 
     model: ModelSpec
     optimizer: str = "adam"
@@ -62,7 +61,6 @@ class TrainConfig:
     max_epochs: int = 50
     early_stop_patience: int = 3
     seed: int = 0
-    threads: int = 1
     timing: bool = False
 
     def __post_init__(self):
@@ -118,12 +116,6 @@ def rmse(predictions, truths) -> float:
     return math.sqrt(total / len(preds))
 
 
-def _predict_inputs(model: Model, inputs) -> float:
-    tape = Tape()
-    lifted = lift(tape, model)
-    return float(build_prediction(tape, lifted, inputs).value[0])
-
-
 def _record_gradient(model: Model, inputs, label: float, n: int):
     """One record's prediction, squared error and, if that is finite, the
     gradient of its 1/n share of the batch loss, on a tape that dies here."""
@@ -137,15 +129,16 @@ def _record_gradient(model: Model, inputs, label: float, n: int):
     return float(pred.value[0]), error, grads
 
 
-def minibatch_gradient(model: Model, inputs: list, labels: list[float]):
+def minibatch_gradient(model: Model, inputs, labels: list[float]):
     """Predictions, mean squared-error loss and its gradient over a minibatch
-    of preprocessed inputs, holding one record's tape at a time.
+    of preprocessed inputs, one per label, holding one record's tape at a
+    time. ``inputs`` may be any iterable; it is read once, in order.
 
     A parameter has one consumer per record, so summing the record gradients
     in record order, from the first, gives the bits of one tape over the
     whole batch. The gradient is incomplete when the loss is not finite.
     """
-    n = len(inputs)
+    n = len(labels)
     preds: list[float] = []
     errors: list[float] = []
     grads: dict[str, np.ndarray] = {}
@@ -189,10 +182,10 @@ def train(
             minibatches(dataset_split.train, cfg.batch_size, epoch, cfg.seed)
         ):
             truth = [records[idx].label for idx in batch]
-            # The preprocessed batch has no name, so it is freed before the next
-            # one is built: memory is bounded by one batch, not by the dataset
+            # Each record is preprocessed as its turn comes and freed after
+            # it: memory is bounded by one record, not by the batch
             preds, loss, grads = minibatch_gradient(
-                model, [preprocess(records[idx].frames, cfg.model) for idx in batch], truth
+                model, (preprocess(records[idx].frames, cfg.model) for idx in batch), truth
             )
             epoch_preds += preds
             epoch_truth += truth
@@ -233,9 +226,7 @@ def evaluate(
     idxs = list(indices) if indices is not None else list(range(len(records)))
     if not idxs:
         raise ValueError("evaluate: empty record set")
-    preds = [_predict_inputs(model, preprocess(records[i].frames, model.spec)) for i in idxs]
-    if clamp:
-        preds = [max(0.0, p) for p in preds]
+    preds = [predict(model, records[i], clamp) for i in idxs]
     return rmse(preds, [records[i].label for i in idxs])
 
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deeprain.autodiff import GradCheckEntry, GradCheckReport, GraphError, Tape, _rel_err, grad_check
 from deeprain.data import SynthConfig, synth_generate
-from deeprain.model import Model, ModelSpec, build_prediction, init_params, lift, preprocess
+from deeprain.model import Model, ModelSpec, build_prediction, init_params, preprocess
 from deeprain import tensor as T
 from deeprain.tensor import ShapeError
 
@@ -381,19 +383,27 @@ def test_lstm_cell_matches_unfused_composition_bitwise(seed, conv):
     assert fused == run(_unfused_lstm_cell)
 
 
-def test_backward_leaves_gradients_on_parameters_only():
-    spec = ModelSpec("conv-lstm", stacks=2, hidden=2, in_t=3, in_c=1, in_h=4, in_w=4)
-    frames = np.random.default_rng(3).integers(0, 256, (3, 1, 4, 4))
+def test_backward_frees_each_gradient_once_consumed_and_reruns():
+    # 200 products of a 1 MB array: a walk that kept the consumed gradients
+    # would hold 200 MB of them; one that frees them holds about two at a time
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 131_072)
     tape = Tape()
-    pred = build_prediction(tape, lift(tape, init_params(spec, 3)), preprocess(frames, spec))
-    tape.squared_error(pred, tape.const(scalar(0.5)))
+    node = tape.param("x", x)
+    factor = tape.const(np.full_like(x, 0.99))
+    for _ in range(200):
+        node = tape.mul(node, factor)
+    tape.squared_error(node, tape.const(np.zeros_like(x)))
     tape.forward()
-    grads = tape.backward()
-    for node in tape.nodes:
-        assert not node._pending
-        if node.op != "param":
-            assert node.grad is None
-    assert all(grads[name] is p.grad for name, p in tape.params.items())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        first = tape.backward()["x"].tobytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 5_000_000, (peak, start)
+    assert tape.backward()["x"].tobytes() == first
 
 
 def test_lstm_cell_rejects_wrong_gate_rows():

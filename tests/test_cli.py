@@ -1,7 +1,10 @@
+import struct
+
 import pytest
 
 from deeprain.cli import build_parser, main
 from deeprain.data import (
+    DataFormatError,
     SynthConfig,
     parse_text_file,
     read_binary,
@@ -138,6 +141,14 @@ class TestTrainEval:
         ]) == 0
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(other), "--seed", "1"]) == 2
+
+    def test_header_only_dataset_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.drn1"
+        data.write_bytes(struct.pack("<4sIIIIIQ", b"DRN1", 1, 2, 1, 4, 4, 0))
+        with pytest.raises(DataFormatError, match="no records"):
+            read_binary(str(data))
+        assert main(["train", "--data", str(data), "--model", "linear"]) == 2
+        assert "no records" in capsys.readouterr().err
 
     def test_progress_lines_format(self, tmp_path, capsys):
         data, _ = make_binary(tmp_path, count=20)

@@ -557,6 +557,56 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stacks"):
             load_checkpoint(str(path))
 
+    def test_tensor_count_beyond_the_file_rejected(self, tmp_path):
+        # 2**31 stacks and 2**32-1 declared tensors in a 1 KB file
+        path = self._corrupt_header_field(tmp_path, 0, 2**31)
+        raw = bytearray(path.read_bytes())
+        at = struct.calcsize("<4sIB8I")
+        raw[at : at + 4] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.drnp"
+        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        save_checkpoint(str(path), init_params(spec, 0))
+        raw = path.read_bytes()
+        at = struct.calcsize("<4sIB8I")
+        weight_at = at + 4
+        bias_at = raw.index(b"linear.bias") - 4
+        bias = struct.pack("<I11sIId", 11, b"linear.bias", 1, 1, 7.0)
+        # a third tensor that repeats the bias, declared in the count
+        path.write_bytes(raw[:at] + struct.pack("<I", 3) + raw[weight_at:] + bias)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+        # the repeat in place of the weight, with the count of the spec
+        path.write_bytes(raw[:weight_at] + raw[bias_at:] + bias)
+        with pytest.raises(CheckpointError, match="twice"):
+            load_checkpoint(str(path))
+
+    def test_many_tiny_tensors_rejected_before_they_are_read(self, tmp_path):
+        # 100,000 rank-0 tensors (2.09 MB): reading them all before the names
+        # are compared would peak at 15 times the file's size
+        path = tmp_path / "model.drnp"
+        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        save_checkpoint(str(path), init_params(spec, 0))
+        count = 100_000
+        names = [str(i).encode() for i in range(count)]
+        path.write_bytes(
+            path.read_bytes()[: struct.calcsize("<4sIB8I")]
+            + struct.pack("<I", count)
+            + b"".join(struct.pack(f"<I{len(n)}sId", len(n), n, 0, 1.0) for n in names)
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="tensors"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
+
     def test_empty_tensor_with_unindexable_extents_rejected(self, tmp_path):
         path = tmp_path / "model.drnp"
         spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
