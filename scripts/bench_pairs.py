@@ -12,8 +12,10 @@ for the cores. The output holds, per workload and metric of
 ``BENCHMARK.json``, each side's median and quartiles, how many pairs the
 change wins by the metric's ``better`` direction, and whether the change's
 median is within the metric's bound. ``run.py`` pins the BLAS threads; the
-setting it logs is recorded. Before the pairs, one round per workload is
-trained in each checkout at seed SEED and the parameter digests
+setting it logs is recorded. Each run also records its number of measured
+rounds: ``run.py`` holds every round's outputs until it reads the peak RSS,
+so that count is part of ``peak_rss_mb``. Before the pairs, one round per
+workload is trained in each checkout at seed SEED and the parameter digests
 (``workloads.digest``) are compared. The output is rewritten after every
 pair.
 """
@@ -48,6 +50,7 @@ finally:
         os.remove(inputs.path)
 """
 BLAS_LINE = re.compile(r"BLAS threads (\d+)")
+ROUND_LINE = "[perfbench] measured round:"
 
 
 def parse_args(argv):
@@ -79,6 +82,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "rounds": proc.stdout.count(ROUND_LINE),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 

@@ -159,11 +159,11 @@ class Tape:
         out = T.add(a.value, b.value)
         return self._record(out, (a, b), lambda g: (g, g))
 
-    def lstm_cell(self, pre: Node, c_prev: Node, hidden: int) -> tuple[Node, Node]:
+    def lstm_cell(self, pre: Node, c_prev: Node) -> tuple[Node, Node]:
         """One LSTM state update from the stacked gate preactivations.
 
-        ``pre`` holds the i, f, o and g preactivations along axis 0, each
-        ``hidden`` rows; ``c_prev`` has the shape of one of them. Records
+        ``pre`` stacks the i, f, o and g preactivations along axis 0, each
+        shaped like ``c_prev``, so it has four times ``c_prev``'s rows. Records
         c_t = f*c_prev + i*g and then h_t = o*tanh(c_t), with i, f, o
         sigmoids and g a tanh (Shi et al., arXiv 1506.04214, eq. 3), and
         returns (c_t, h_t).
@@ -174,6 +174,7 @@ class Tape:
         which always runs after it and writes all four gates' gradients into
         one array.
         """
+        hidden = c_prev.value.shape[0]
         if pre.value.shape[0] != 4 * hidden:
             raise T.ShapeError(
                 "lstm_cell", "gates", f"expected {4 * hidden} rows, got {pre.value.shape[0]}"

@@ -21,7 +21,6 @@ from .data import (
     write_binary,
 )
 from .model import (
-    CheckpointError,
     ModelSpec,
     gradcheck_model,
     load_checkpoint,
@@ -247,13 +246,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataFormatError, CheckpointError, ShapeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # DataFormatError, CheckpointError, ShapeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -408,16 +408,14 @@ def _blob_frames(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     extent = min(cfg.h, cfg.w)
     sigma = rng.uniform(extent / 6.0, extent / 3.0, n_blobs)
     amp = rng.uniform(0.35, 1.0, n_blobs)
-    frames = np.zeros((cfg.t, cfg.c, cfg.h, cfg.w), dtype=np.float64)
+    ch = np.arange(cfg.c)[:, None]
+    two_var = (2.0 * (sigma * (1.0 + 0.15 * ch)) ** 2)[:, :, None, None]  # [C, blobs, 1, 1]
+    scale = (amp / (1.0 + 0.25 * ch))[:, :, None, None]
+    frames = np.empty((cfg.t, cfg.c, cfg.h, cfg.w), dtype=np.float64)
     for t in range(cfg.t):
-        for ch in range(cfg.c):
-            s = sigma * (1.0 + 0.15 * ch)
-            scale = amp / (1.0 + 0.25 * ch)
-            field = np.zeros((cfg.h, cfg.w))
-            for b in range(n_blobs):
-                d2 = (yy - (cy[b] + t * vy[b])) ** 2 + (xx - (cx[b] + t * vx[b])) ** 2
-                field += scale[b] * np.exp(-d2 / (2.0 * s[b] ** 2))
-            frames[t, ch] = field
+        d2 = (yy - (cy + t * vy)[:, None, None]) ** 2 + (xx - (cx + t * vx)[:, None, None]) ** 2
+        # [C, blobs, H, W] for this step only; the sum adds blobs in order
+        frames[t] = (scale * np.exp(-d2 / two_var)).sum(axis=1)
     return np.clip(np.rint(255.0 * frames), 0, 255).astype(np.uint8)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -47,8 +47,9 @@ __all__ = [
 KINDS = ("linear", "fc-lstm", "conv-lstm")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 
-GATE_WEIGHTS = ("w_xi", "w_xf", "w_xo", "w_xc", "w_hi", "w_hf", "w_ho", "w_hc")
-GATE_BIASES = ("b_i", "b_f", "b_o", "b_c")
+# One LSTM cell's tensors in registration order: the input weights, the
+# recurrent weights and the biases, each in i, f, o, c gate order.
+GATES = ("w_xi", "w_xf", "w_xo", "w_xc", "w_hi", "w_hf", "w_ho", "w_hc", "b_i", "b_f", "b_o", "b_c")
 
 CHECKPOINT_MAGIC = b"DRNP"
 CHECKPOINT_VERSION = 1
@@ -100,26 +101,19 @@ class ModelSpec:
         return self.in_c * self.pooled_h * self.pooled_w
 
 
-@dataclass
-class LstmCellParams:
-    """Gate weights and biases of one LSTM cell.
+LstmCellParams = make_dataclass(
+    "LstmCellParams",
+    [(name, object) for name in GATES],
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Gate weights and biases of one LSTM cell, one field per
+    name in ``GATES``.
 
     The rank of ``w_xi`` tells the kinds apart: [hidden,C,k,k] kernels for
     a ConvLSTM cell, [hidden,D] matrices for an FC-LSTM cell.
-    """
-
-    w_xi: object
-    w_xf: object
-    w_xo: object
-    w_xc: object
-    w_hi: object
-    w_hf: object
-    w_ho: object
-    w_hc: object
-    b_i: object
-    b_f: object
-    b_o: object
-    b_c: object
+    """,
+    },
+)
 
 
 @dataclass
@@ -159,42 +153,38 @@ class Model:
         return cls(spec, {name: named[name] for name in param_shapes(spec)})
 
 
+def _cell_layout(hidden: int, fan_in: int, window: tuple):
+    """(gate name, shape) of one cell's tensors; ``window`` is (k, k) for a
+    ConvLSTM cell and () for an FC-LSTM cell."""
+    weights = 4 * [(hidden, fan_in) + window] + 4 * [(hidden, hidden) + window]
+    return zip(GATES, weights + 4 * [(hidden,)])
+
+
+def _layout(spec: ModelSpec):
+    """Yield (name, shape) of every parameter, in registration order."""
+    if spec.kind == "linear":
+        yield "linear.weight", (1, spec.in_t * spec.frame_dim)
+        yield "linear.bias", (1,)
+        return
+    conv = spec.kind == "conv-lstm"
+    fan_in = spec.in_c if conv else spec.frame_dim
+    window = (spec.kernel, spec.kernel) if conv else ()
+    for i in range(spec.stacks):
+        for name, shape in _cell_layout(spec.hidden, spec.hidden if i else fan_in, window):
+            yield f"cell{i}.{name}", shape
+    yield "head.weight", (1, spec.hidden)
+    yield "head.bias", (1,)
+
+
 def param_shapes(spec: ModelSpec) -> dict[str, tuple]:
     """Canonical parameter names and shapes, in registration order."""
-    shapes: dict[str, tuple] = {}
-    if spec.kind == "linear":
-        d = spec.in_t * spec.frame_dim
-        shapes["linear.weight"] = (1, d)
-        shapes["linear.bias"] = (1,)
-        return shapes
-    for i in range(spec.stacks):
-        if spec.kind == "conv-lstm":
-            cin = spec.in_c if i == 0 else spec.hidden
-            k = spec.kernel
-            for name in ("w_xi", "w_xf", "w_xo", "w_xc"):
-                shapes[f"cell{i}.{name}"] = (spec.hidden, cin, k, k)
-            for name in ("w_hi", "w_hf", "w_ho", "w_hc"):
-                shapes[f"cell{i}.{name}"] = (spec.hidden, spec.hidden, k, k)
-        else:
-            din = spec.frame_dim if i == 0 else spec.hidden
-            for name in ("w_xi", "w_xf", "w_xo", "w_xc"):
-                shapes[f"cell{i}.{name}"] = (spec.hidden, din)
-            for name in ("w_hi", "w_hf", "w_ho", "w_hc"):
-                shapes[f"cell{i}.{name}"] = (spec.hidden, spec.hidden)
-        for name in GATE_BIASES:
-            shapes[f"cell{i}.{name}"] = (spec.hidden,)
-    shapes["head.weight"] = (1, spec.hidden)
-    shapes["head.bias"] = (1,)
-    return shapes
+    return dict(_layout(spec))
 
 
 def _glorot_limit(shape: tuple) -> float:
-    if len(shape) == 4:
-        o, c, kh, kw = shape
-        fan_in, fan_out = c * kh * kw, o * kh * kw
-    else:
-        m, n = shape
-        fan_in, fan_out = n, m
+    """Glorot's uniform limit; a kernel window beyond the first two axes
+    scales both fans."""
+    fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
@@ -202,19 +192,18 @@ def init_params(spec: ModelSpec, seed: int) -> Model:
     """Glorot-uniform weights, zero biases, forget-gate bias 1.0.
 
     Parameter draws follow the fixed registration order, so a seed fully
-    determines every value.
+    determines every value. The biases are the rank-1 tensors.
     """
     rng = np.random.default_rng(seed)
     named: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(spec).items():
-        short = name.split(".", 1)[1]
-        if short in GATE_BIASES or short == "bias":
-            fill = 1.0 if short == "b_f" else 0.0
+    for name, shape in _layout(spec):
+        if len(shape) == 1:
+            fill = 1.0 if name.endswith(".b_f") else 0.0
             named[name] = np.full(shape, fill, dtype=np.float64)
         else:
             a = _glorot_limit(shape)
             named[name] = rng.uniform(-a, a, size=shape)
-    return Model.from_named(spec, named)
+    return Model(spec, named)
 
 
 # -- cell steps and encoders ----------------------------------------------
@@ -227,10 +216,8 @@ def _fuse_gates(tape: Tape, p) -> tuple:
     gate preactivations at once; each output row equals the corresponding
     per-gate computation.
     """
-    wx = tape.concat0([p.w_xi, p.w_xf, p.w_xo, p.w_xc])
-    wh = tape.concat0([p.w_hi, p.w_hf, p.w_ho, p.w_hc])
-    b = tape.concat0([p.b_i, p.b_f, p.b_o, p.b_c])
-    return wx, wh, b
+    tensors = [getattr(p, name) for name in GATES]
+    return tuple(tape.concat0(tensors[j : j + 4]) for j in (0, 4, 8))
 
 
 def _fused_step(tape: Tape, fused: tuple, x: Node, state: CellState) -> CellState:
@@ -239,7 +226,7 @@ def _fused_step(tape: Tape, fused: tuple, x: Node, state: CellState) -> CellStat
         pre = tape.add(tape.conv2d(x, wx, b), tape.conv2d(state.h, wh))
     else:
         pre = tape.add(tape.affine(x, wx, b), tape.affine(state.h, wh))
-    c_t, h_t = tape.lstm_cell(pre, state.c, b.shape[0] // 4)
+    c_t, h_t = tape.lstm_cell(pre, state.c)
     return CellState(h=h_t, c=c_t)
 
 
@@ -336,7 +323,7 @@ def build_prediction(tape: Tape, lifted: Model, inputs) -> Node:
     if lifted.spec.kind == "linear":
         return tape.affine(tape.const(inputs), p["linear.weight"], p["linear.bias"])
     cells = [
-        LstmCellParams(**{name: p[f"cell{i}.{name}"] for name in GATE_WEIGHTS + GATE_BIASES})
+        LstmCellParams(**{name: p[f"cell{i}.{name}"] for name in GATES})
         for i in range(lifted.spec.stacks)
     ]
     h_t = encode_sequence(tape, cells, [tape.const(x) for x in inputs])
@@ -431,15 +418,16 @@ def load_checkpoint(path: str) -> Model:
             raise CheckpointError(f"invalid model spec: {exc}") from None
         (count,) = r.take("<I")
         # A tensor takes at least 12 bytes (name length, rank, one extent)
-        # and every stack owns tensors, so param_shapes is bounded by the
-        # file's size before it is built.
+        # and every stack owns tensors, so the layout is bounded by the
+        # file's size; it is counted, not kept, before any table is built.
         if 12 * count > r.left:
             raise CheckpointError(f"truncated file: {count} tensors in {r.left} bytes")
         if spec.kind != "linear" and spec.stacks > count:
             raise CheckpointError(f"{spec.stacks} stacks, but only {count} tensors")
+        size = sum(1 for _ in _layout(spec))
+        if count != size:
+            raise CheckpointError(f"{count} tensors, spec expects {size}")
         expected = param_shapes(spec)
-        if count != len(expected):
-            raise CheckpointError(f"{count} tensors, spec expects {len(expected)}")
         named: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = r.take("<I")

@@ -25,6 +25,7 @@ from .model import (
     CellState,
     LstmCellParams,
     ModelSpec,
+    _cell_layout,
     gradcheck_model,
     init_params,
     load_checkpoint,
@@ -42,14 +43,7 @@ def _rng(seed=0):
 
 
 def _random_cell_arrays(rng, hidden, cin, k):
-    arrays = {}
-    for name in ("w_xi", "w_xf", "w_xo", "w_xc"):
-        arrays[name] = rng.normal(0, 0.4, (hidden, cin, k, k))
-    for name in ("w_hi", "w_hf", "w_ho", "w_hc"):
-        arrays[name] = rng.normal(0, 0.4, (hidden, hidden, k, k))
-    for name in ("b_i", "b_f", "b_o", "b_c"):
-        arrays[name] = rng.normal(0, 0.4, hidden)
-    return arrays
+    return {name: rng.normal(0, 0.4, shape) for name, shape in _cell_layout(hidden, cin, (k, k))}
 
 
 def check_conv2d_matches_naive_reference():

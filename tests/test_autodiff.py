@@ -242,11 +242,11 @@ def _primitive_cases(rng):
     # as well as through h_t.
     cases["lstm_cell_maps"] = (
         {"pre": rng.normal(0, 1, (8, 2, 3)), "c": rng.normal(0, 1, (2, 2, 3))},
-        lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"]), 2))),
+        lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"])))),
     )
     cases["lstm_cell_vectors"] = (
         {"pre": rng.normal(0, 1, 12), "c": rng.normal(0, 1, 3)},
-        lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"]), 3))),
+        lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"])))),
     )
     return cases
 
@@ -379,7 +379,7 @@ def test_lstm_cell_matches_unfused_composition_bitwise(seed, conv):
         assert first == second
         return h.value.tobytes(), c.value.tobytes(), loss, first
 
-    fused = run(lambda tape, pre, c, hidden: tape.lstm_cell(pre, c, hidden))
+    fused = run(lambda tape, pre, c, hidden: tape.lstm_cell(pre, c))
     assert fused == run(_unfused_lstm_cell)
 
 
@@ -409,7 +409,7 @@ def test_backward_frees_each_gradient_once_consumed_and_reruns():
 def test_lstm_cell_rejects_wrong_gate_rows():
     tape = Tape()
     with pytest.raises(ShapeError, match="lstm_cell"):
-        tape.lstm_cell(tape.const(np.zeros(6)), tape.const(np.zeros(2)), 2)
+        tape.lstm_cell(tape.const(np.zeros(6)), tape.const(np.zeros(2)))
 
 
 def _loop_conv2d(x, k, b, g):

@@ -338,6 +338,42 @@ class TestInitParams:
         assert abs(w.mean()) < 0.05 * a * 2
         assert np.all(np.abs(w) <= a)
 
+    def test_param_shapes_pin_names_order_and_shapes(self):
+        geometry = dict(in_t=4, in_c=2, in_h=6, in_w=6)
+        conv = ModelSpec("conv-lstm", stacks=2, hidden=3, kernel=5, **geometry)
+        assert list(param_shapes(conv).items()) == [
+            ("cell0.w_xi", (3, 2, 5, 5)), ("cell0.w_xf", (3, 2, 5, 5)),
+            ("cell0.w_xo", (3, 2, 5, 5)), ("cell0.w_xc", (3, 2, 5, 5)),
+            ("cell0.w_hi", (3, 3, 5, 5)), ("cell0.w_hf", (3, 3, 5, 5)),
+            ("cell0.w_ho", (3, 3, 5, 5)), ("cell0.w_hc", (3, 3, 5, 5)),
+            ("cell0.b_i", (3,)), ("cell0.b_f", (3,)), ("cell0.b_o", (3,)), ("cell0.b_c", (3,)),
+            ("cell1.w_xi", (3, 3, 5, 5)), ("cell1.w_xf", (3, 3, 5, 5)),
+            ("cell1.w_xo", (3, 3, 5, 5)), ("cell1.w_xc", (3, 3, 5, 5)),
+            ("cell1.w_hi", (3, 3, 5, 5)), ("cell1.w_hf", (3, 3, 5, 5)),
+            ("cell1.w_ho", (3, 3, 5, 5)), ("cell1.w_hc", (3, 3, 5, 5)),
+            ("cell1.b_i", (3,)), ("cell1.b_f", (3,)), ("cell1.b_o", (3,)), ("cell1.b_c", (3,)),
+            ("head.weight", (1, 3)), ("head.bias", (1,)),
+        ]
+        # pooled to 3x3, so a frame holds 2 * 3 * 3 = 18 values
+        fc = ModelSpec("fc-lstm", stacks=2, hidden=3, pool_factor=2, **geometry)
+        assert list(param_shapes(fc).items()) == [
+            ("cell0.w_xi", (3, 18)), ("cell0.w_xf", (3, 18)),
+            ("cell0.w_xo", (3, 18)), ("cell0.w_xc", (3, 18)),
+            ("cell0.w_hi", (3, 3)), ("cell0.w_hf", (3, 3)),
+            ("cell0.w_ho", (3, 3)), ("cell0.w_hc", (3, 3)),
+            ("cell0.b_i", (3,)), ("cell0.b_f", (3,)), ("cell0.b_o", (3,)), ("cell0.b_c", (3,)),
+            ("cell1.w_xi", (3, 3)), ("cell1.w_xf", (3, 3)),
+            ("cell1.w_xo", (3, 3)), ("cell1.w_xc", (3, 3)),
+            ("cell1.w_hi", (3, 3)), ("cell1.w_hf", (3, 3)),
+            ("cell1.w_ho", (3, 3)), ("cell1.w_hc", (3, 3)),
+            ("cell1.b_i", (3,)), ("cell1.b_f", (3,)), ("cell1.b_o", (3,)), ("cell1.b_c", (3,)),
+            ("head.weight", (1, 3)), ("head.bias", (1,)),
+        ]
+        linear = ModelSpec("linear", pool_factor=2, **geometry)
+        assert list(param_shapes(linear).items()) == [
+            ("linear.weight", (1, 72)), ("linear.bias", (1,)),
+        ]
+
     def test_shapes_follow_registry(self):
         spec = ModelSpec("fc-lstm", stacks=2, hidden=3, in_t=4, in_c=2, in_h=5, in_w=5)
         named = init_params(spec, 0).named_parameters()
@@ -586,26 +622,41 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_many_tiny_tensors_rejected_before_they_are_read(self, tmp_path):
-        # 100,000 rank-0 tensors (2.09 MB): reading them all before the names
-        # are compared would peak at 15 times the file's size
-        path = tmp_path / "model.drnp"
-        spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
-        save_checkpoint(str(path), init_params(spec, 0))
-        count = 100_000
-        names = [str(i).encode() for i in range(count)]
-        path.write_bytes(
-            path.read_bytes()[: struct.calcsize("<4sIB8I")]
-            + struct.pack("<I", count)
-            + b"".join(struct.pack(f"<I{len(n)}sId", len(n), n, 0, 1.0) for n in names)
+        # Two files whose counts pass the 12-bytes-per-tensor bound:
+        # - 100,000 rank-0 linear tensors (2.09 MB): reading them all before
+        #   the names are compared would peak at 15 times the file's size;
+        # - a conv-lstm header declaring 8,329 stacks and 8,329 tensors, then
+        #   as many empty rank-1 tensors (132,199 bytes): building the spec's
+        #   99,950-name table before the counts are compared peaks at 126
+        #   times the file's size.
+        linear = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)
+        conv = ModelSpec("conv-lstm", in_t=1, in_c=1, in_h=2, in_w=2)
+        # spec, declared stacks and count, and each tensor's rank, extents, values
+        cases = (
+            (linear, 1, 100_000, struct.pack("<Id", 0, 1.0)),
+            (conv, 8_329, 8_329, struct.pack("<II", 1, 0)),
         )
-        tracemalloc.start()
-        try:
-            with pytest.raises(CheckpointError, match="tensors"):
-                load_checkpoint(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * path.stat().st_size, (peak, path.stat().st_size)
+        for spec, stacks, count, body in cases:
+            path = tmp_path / f"{spec.kind}.drnp"
+            save_checkpoint(str(path), init_params(spec, 0))
+            header = bytearray(path.read_bytes()[: struct.calcsize("<4sIB8I")])
+            struct.pack_into("<I", header, struct.calcsize("<4sIB"), stacks)
+            names = [str(i).encode() for i in range(count)]
+            path.write_bytes(
+                bytes(header)
+                + struct.pack("<I", count)
+                + b"".join(struct.pack(f"<I{len(n)}s", len(n), n) + body for n in names)
+            )
+            if spec is conv:
+                assert path.stat().st_size == 132_199
+            tracemalloc.start()
+            try:
+                with pytest.raises(CheckpointError, match="tensors"):
+                    load_checkpoint(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * path.stat().st_size, (spec.kind, peak, path.stat().st_size)
 
     def test_empty_tensor_with_unindexable_extents_rejected(self, tmp_path):
         path = tmp_path / "model.drnp"
