@@ -14,10 +14,12 @@ change wins by the metric's ``better`` direction, and whether the change's
 median is within the metric's bound. ``run.py`` pins the BLAS threads; the
 setting it logs is recorded. Each run also records its number of measured
 rounds: ``run.py`` holds every round's outputs until it reads the peak RSS,
-so that count is part of ``peak_rss_mb``. Before the pairs, one round per
-workload is trained in each checkout at seed SEED and the parameter digests
-(``workloads.digest``) are compared. The output is rewritten after every
-pair.
+so that count is part of ``peak_rss_mb``. That metric also gets a
+``by_rounds`` table: per measured round count, each side's median and
+number of runs, so memory can be compared at equal counts. Before the
+pairs, one round per workload is trained in each checkout at seed SEED and
+the parameter digests (``workloads.digest``) are compared. The output is
+rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -124,7 +126,22 @@ def summarise(spec: dict, runs: dict) -> dict:
             "gain_beyond_parent_iqr": gain > p["q3"] - p["q1"],
             "within_bound": -gain <= metric["bound"] * p["median"],
         }
+    out["peak_rss_mb"]["by_rounds"] = by_rounds(runs, "peak_rss_mb")
     return out
+
+
+def by_rounds(runs: dict, name: str) -> dict:
+    """Per measured round count, each side's median of ``name`` and run count."""
+    table = {}
+    for rounds in sorted({r["rounds"] for side in runs.values() for r in side}):
+        table[str(rounds)] = {}
+        for side, side_runs in runs.items():
+            values = [r["metrics"][name] for r in side_runs if r["rounds"] == rounds]
+            table[str(rounds)][side] = {
+                "median": statistics.median(values) if values else None,
+                "runs": len(values),
+            }
+    return table
 
 
 def main(argv=None) -> int:

@@ -21,11 +21,8 @@ from .tensor import ShapeError, avg_pool2d
 __all__ = [
     "ModelSpec",
     "LstmCellParams",
-    "AffineParams",
     "ConvLstmCellParams",
     "FcLstmCellParams",
-    "RegressionHeadParams",
-    "LinearParams",
     "CellState",
     "Model",
     "param_shapes",
@@ -116,16 +113,7 @@ LstmCellParams = make_dataclass(
 )
 
 
-@dataclass
-class AffineParams:
-    """Weight and bias of the regression head or of the linear baseline."""
-
-    weight: object
-    bias: object
-
-
 ConvLstmCellParams = FcLstmCellParams = LstmCellParams
-RegressionHeadParams = LinearParams = AffineParams
 
 
 @dataclass
@@ -273,7 +261,7 @@ def encode_sequence(tape: Tape, cells: list, seq: list) -> Node:
     return current[-1]
 
 
-def regression_head(tape: Tape, head: AffineParams, h_t: Node) -> Node:
+def regression_head(tape: Tape, weight: Node, bias: Node, h_t: Node) -> Node:
     """Collapse the encoder output to one scalar estimate."""
     if len(h_t.shape) == 3:
         h_t = tape.global_avg_pool(h_t)
@@ -281,7 +269,7 @@ def regression_head(tape: Tape, head: AffineParams, h_t: Node) -> Node:
         raise ShapeError(
             "regression_head", "input", f"expected rank 1 or 3, got rank {len(h_t.shape)}"
         )
-    return tape.affine(h_t, head.weight, head.bias)
+    return tape.affine(h_t, weight, bias)
 
 
 # -- whole-model forward ---------------------------------------------------
@@ -327,7 +315,7 @@ def build_prediction(tape: Tape, lifted: Model, inputs) -> Node:
         for i in range(lifted.spec.stacks)
     ]
     h_t = encode_sequence(tape, cells, [tape.const(x) for x in inputs])
-    return regression_head(tape, AffineParams(p["head.weight"], p["head.bias"]), h_t)
+    return regression_head(tape, p["head.weight"], p["head.bias"], h_t)
 
 
 def predict(model: Model, record, clamp: bool = False) -> float:
@@ -446,6 +434,8 @@ def load_checkpoint(path: str) -> Model:
                 raise CheckpointError(
                     f"tensor {name}: shape {shape}, spec expects {expected[name]}"
                 )
+            if not np.isfinite(named[name]).all():
+                raise CheckpointError(f"tensor {name}: non-finite values")
         if r.left:
             raise CheckpointError("trailing bytes after last tensor")
-    return Model.from_named(spec, named)
+    return Model(spec, {name: named[name] for name in expected})

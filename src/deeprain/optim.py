@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,10 +18,10 @@ class AdamState:
     built before the parameter set is known. ``v`` stays elementwise >= 0.
     """
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)

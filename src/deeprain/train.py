@@ -212,7 +212,7 @@ def train(
             since_improve += 1
             if since_improve >= cfg.early_stop_patience:
                 break
-    result.model = Model.from_named(cfg.model, best)
+    result.model = Model(cfg.model, best)
     return result
 
 
@@ -224,8 +224,6 @@ def evaluate(
 ) -> float:
     """RMSE over the given records; invariant under their ordering."""
     idxs = list(indices) if indices is not None else list(range(len(records)))
-    if not idxs:
-        raise ValueError("evaluate: empty record set")
     preds = [predict(model, records[i], clamp) for i in idxs]
     return rmse(preds, [records[i].label for i in idxs])
 

@@ -11,6 +11,7 @@ from deeprain.data import (
     synth_generate,
     write_binary,
 )
+from deeprain.model import ModelSpec, init_params, save_checkpoint
 from deeprain.selftest import run_checks
 
 
@@ -141,6 +142,26 @@ class TestTrainEval:
         ]) == 0
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(other), "--seed", "1"]) == 2
+        assert "record dims" in capsys.readouterr().err
+
+    def test_eval_empty_test_split_is_data_error(self, tmp_path, capsys):
+        # split(5, seed=17) puts every record in training
+        data, _ = make_binary(tmp_path, count=5)
+        ckpt = tmp_path / "model.drnp"
+        save_checkpoint(str(ckpt), init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0))
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "17"]) == 2
+        assert "empty" in capsys.readouterr().err
+
+    def test_eval_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
+        data, _ = make_binary(tmp_path)
+        ckpt = tmp_path / "model.drnp"
+        model = init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0)
+        model.params["linear.bias"][0] = float("nan")
+        save_checkpoint(str(ckpt), model)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "linear.bias" in captured.err and "non-finite" in captured.err
+        assert "test_rmse" not in captured.out
 
     def test_header_only_dataset_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "empty.drn1"

@@ -14,7 +14,6 @@ from deeprain.model import (
     FcLstmCellParams,
     Model,
     ModelSpec,
-    RegressionHeadParams,
     build_prediction,
     convlstm_cell_step,
     encode_sequence,
@@ -283,15 +282,15 @@ class TestEncodeSequence:
 class TestRegressionHead:
     def test_zero_weight_returns_bias(self):
         tape = Tape()
-        head = RegressionHeadParams(tape.const(np.zeros((1, 3))), tape.const(np.array([3.2])))
+        w, b = tape.const(np.zeros((1, 3))), tape.const(np.array([3.2]))
         h = tape.const(np.random.default_rng(0).normal(0, 1, (3, 4, 4)))
-        assert regression_head(tape, head, h).value[0] == 3.2
+        assert regression_head(tape, w, b, h).value[0] == 3.2
 
     def test_constant_map_single_channel(self):
         tape = Tape()
-        head = RegressionHeadParams(tape.const(np.array([[2.0]])), tape.const(np.array([0.5])))
+        w, b = tape.const(np.array([[2.0]])), tape.const(np.array([0.5]))
         h = tape.const(np.full((1, 3, 3), 1.5))
-        assert regression_head(tape, head, h).value[0] == 2.0 * 1.5 + 0.5
+        assert regression_head(tape, w, b, h).value[0] == 2.0 * 1.5 + 0.5
 
     def test_matches_pool_then_affine_by_hand(self):
         rng = np.random.default_rng(4)
@@ -299,16 +298,15 @@ class TestRegressionHead:
         w = rng.normal(0, 1, (1, 3))
         b = rng.normal(0, 1, 1)
         tape = Tape()
-        head = RegressionHeadParams(tape.const(w), tape.const(b))
-        got = regression_head(tape, head, tape.const(h)).value[0]
+        got = regression_head(tape, tape.const(w), tape.const(b), tape.const(h)).value[0]
         want = float((w @ h.mean(axis=(1, 2)) + b)[0])
         assert abs(got - want) < 1e-12
 
     def test_bad_rank_rejected(self):
         tape = Tape()
-        head = RegressionHeadParams(tape.const(np.zeros((1, 3))), tape.const(np.zeros(1)))
+        w, b = tape.const(np.zeros((1, 3))), tape.const(np.zeros(1))
         with pytest.raises(ShapeError, match="rank"):
-            regression_head(tape, head, tape.const(np.zeros((3, 3))))
+            regression_head(tape, w, b, tape.const(np.zeros((3, 3))))
 
 
 class TestInitParams:
