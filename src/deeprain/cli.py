@@ -27,7 +27,7 @@ from .model import (
     save_checkpoint,
 )
 from .selftest import run_checks
-from .train import DivergenceError, TrainConfig, emit_curve, evaluate, train
+from .train import OPTIMIZERS, DivergenceError, TrainConfig, emit_curve, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,45 +43,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Building an owner takes its required field; conv-lstm is the kind whose
+# kernel rule applies.
+_REQUIRED = {ModelSpec: {"kind": "conv-lstm"}, TrainConfig: {"model": ModelSpec("linear")}}
+# Eval must split the data as train did, so the three commands share one seed.
+SEED = 42
+
+
+def _judge(owner, **fields) -> None:
+    """Build ``owner`` with only ``fields`` set; a rule it breaks is a usage error."""
+    try:
+        owner(**_REQUIRED[owner], **fields)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _owned(p, flag: str, owner, field: str, convert=int, default=None) -> None:
+    """Add ``flag``, which sets ``owner``'s ``field``: the owner states the
+    rule and, unless ``default`` is given, the default."""
+
+    def parse(text: str):
+        value = convert(text)
+        _judge(owner, **{field: value})
+        return value
+
+    parse.__name__ = convert.__name__
+    p.add_argument(flag, type=parse, default=getattr(owner, field) if default is None else default)
+
+
 def _dims(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected T,C,H,W, got {text!r}")
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-integer dimension in {text!r}") from None
-    if any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError("dimensions must be >= 1")
+    dims = tuple(int(part) for part in parts)
+    _judge(ModelSpec, **dict(zip(("in_t", "in_c", "in_h", "in_w"), dims)))
     return dims
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
-
-
-def _odd_int(text: str) -> int:
-    value = int(text)
-    if value < 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"kernel must be odd and >= 1, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _rate(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,16 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a DRN1 dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", default="conv-lstm", choices=KINDS)
-    p.add_argument("--stacks", type=_positive_int, default=1)
-    p.add_argument("--hidden", type=_positive_int, default=8)
-    p.add_argument("--kernel", type=_odd_int, default=3)
-    p.add_argument("--pool", type=_positive_int, default=1)
-    p.add_argument("--optimizer", default="adam", choices=("adam", "gd"))
-    p.add_argument("--lr", type=_rate, default=0.001)
-    p.add_argument("--batch", type=_positive_int, default=30)
-    p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--patience", type=_positive_int, default=3)
-    p.add_argument("--seed", type=_seed, default=42)
+    _owned(p, "--stacks", ModelSpec, "stacks")
+    _owned(p, "--hidden", ModelSpec, "hidden")
+    _owned(p, "--kernel", ModelSpec, "kernel")
+    _owned(p, "--pool", ModelSpec, "pool_factor")
+    p.add_argument("--optimizer", default=TrainConfig.optimizer, choices=OPTIMIZERS)
+    _owned(p, "--lr", TrainConfig, "lr", convert=float)
+    _owned(p, "--batch", TrainConfig, "batch_size")
+    _owned(p, "--epochs", TrainConfig, "max_epochs")
+    _owned(p, "--patience", TrainConfig, "early_stop_patience")
+    _owned(p, "--seed", TrainConfig, "seed", default=SEED)
     p.add_argument("--curve", help="learning-curve CSV path")
     p.add_argument("--ckpt", help="checkpoint output path")
     p.add_argument("--threads", type=int, help=THREADS_HELP)
@@ -122,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="test-set RMSE of a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=_seed, default=42)
+    _owned(p, "--seed", TrainConfig, "seed", default=SEED)
     p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--clamp", action="store_true", help="floor predictions at zero")
     p.set_defaults(func=cmd_eval)
@@ -130,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of every parameter gradient")
     p.add_argument("--model", default="conv-lstm", choices=KINDS)
-    p.add_argument("--stacks", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_seed, default=42)
+    _owned(p, "--stacks", ModelSpec, "stacks")
+    _owned(p, "--seed", TrainConfig, "seed", default=SEED)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("selftest",
@@ -193,17 +189,21 @@ def cmd_train(args) -> int:
         emit_curve(result.stats, args.curve)
         print(f"curve -> {args.curve}")
     if sp.test:
-        test_rmse = evaluate(result.model, records, sp.test)
-        print(f"test_rmse={test_rmse:.12g}")
+        _report_test_rmse(result.model, records, sp.test)
     return EXIT_OK
+
+
+def _report_test_rmse(model, records, indices, clamp: bool = False) -> None:
+    value = evaluate(model, records, indices, clamp)
+    if not math.isfinite(value):
+        raise DivergenceError(f"non-finite test RMSE {value}")
+    print(f"test_rmse={value:.12g}")
 
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     records = read_binary(args.data)
-    sp = split(len(records), seed=args.seed)
-    value = evaluate(model, records, sp.test, clamp=args.clamp)
-    print(f"test_rmse={value:.12g}")
+    _report_test_rmse(model, records, split(len(records), seed=args.seed).test, args.clamp)
     return EXIT_OK
 
 

@@ -73,17 +73,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {KINDS}")
-        if self.stacks < 1:
-            raise ValueError(f"stacks must be >= 1, got {self.stacks}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("stacks", "hidden", "pool_factor", "in_t", "in_c", "in_h", "in_w"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kind == "conv-lstm" and (self.kernel < 1 or self.kernel % 2 == 0):
             raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
-        if self.pool_factor < 1:
-            raise ValueError(f"pool_factor must be >= 1, got {self.pool_factor}")
-        for name in ("in_t", "in_c", "in_h", "in_w"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def pooled_h(self) -> int:
@@ -358,10 +352,15 @@ class CheckpointError(ValueError):
     """Malformed or mismatched checkpoint file."""
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"tensor {name}: non-finite values")
+
+
 def save_checkpoint(path: str, model: Model) -> None:
     """Write the versioned DRNP container (little-endian, bit-exact). The
     header and then each tensor go straight into the file, so the weights
-    are not copied."""
+    are not copied. A non-finite tensor is refused, and no file is left."""
     spec = model.spec
     named = model.named_parameters()
 
@@ -372,6 +371,7 @@ def save_checkpoint(path: str, model: Model) -> None:
             spec.in_t, spec.in_c, spec.in_h, spec.in_w, len(named),
         ))
         for name, arr in named.items():
+            _require_finite(name, arr)
             nb = name.encode("utf-8")
             fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
@@ -434,8 +434,7 @@ def load_checkpoint(path: str) -> Model:
                 raise CheckpointError(
                     f"tensor {name}: shape {shape}, spec expects {expected[name]}"
                 )
-            if not np.isfinite(named[name]).all():
-                raise CheckpointError(f"tensor {name}: non-finite values")
+            _require_finite(name, named[name])
         if r.left:
             raise CheckpointError("trailing bytes after last tensor")
     return Model(spec, {name: named[name] for name in expected})

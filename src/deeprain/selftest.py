@@ -37,16 +37,12 @@ from .tensor import conv2d, map_sigmoid, map_tanh
 from .train import TrainConfig, train
 
 
-def _rng(seed=0):
-    return np.random.default_rng(seed)
-
-
 def _random_cell_arrays(rng, hidden, cin, k):
     return {name: rng.normal(0, 0.4, shape) for name, shape in _cell_layout(hidden, cin, (k, k))}
 
 
 def check_conv2d_matches_naive_reference():
-    rng = _rng(1)
+    rng = np.random.default_rng(1)
     for _ in range(3):
         x = rng.normal(0, 1, (3, 5, 6))
         k = rng.normal(0, 1, (2, 3, 3, 3))
@@ -57,7 +53,7 @@ def check_conv2d_matches_naive_reference():
 
 
 def check_conv2d_linearity():
-    rng = _rng(2)
+    rng = np.random.default_rng(2)
     k = rng.normal(0, 1, (2, 2, 3, 3))
     x = rng.normal(0, 1, (2, 4, 4))
     y = rng.normal(0, 1, (2, 4, 4))
@@ -76,7 +72,7 @@ def check_sigmoid_tanh_open_intervals():
 
 
 def check_convlstm_cell_matches_transcription():
-    rng = _rng(3)
+    rng = np.random.default_rng(3)
     arrays = _random_cell_arrays(rng, hidden=3, cin=2, k=3)
     x = rng.normal(0, 1, (2, 4, 4))
     h0 = rng.normal(0, 0.5, (3, 4, 4))
@@ -93,7 +89,7 @@ def check_convlstm_cell_matches_transcription():
 
 def check_degenerate_equivalence():
     # 1x1 spatial input with a 1x1 kernel is exactly a matrix product.
-    rng = _rng(4)
+    rng = np.random.default_rng(4)
     hidden, cin = 3, 2
     conv_arrays = _random_cell_arrays(rng, hidden, cin, 1)
     fc_arrays = {
@@ -199,7 +195,7 @@ def check_synth_label_closed_form():
 
 
 def check_forward_backward_rerun_bitwise():
-    rng = _rng(13)
+    rng = np.random.default_rng(13)
     x = rng.normal(0, 1, (2, 3, 3))
     k = rng.normal(0, 1, (1, 2, 3, 3))
     tape = Tape()

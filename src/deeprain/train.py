@@ -34,20 +34,11 @@ __all__ = [
 ]
 
 
+OPTIMIZERS = ("adam", "gd")
+
+
 class DivergenceError(RuntimeError):
-    """Non-finite loss, or non-finite validation RMSE, during training.
-
-    ``batch`` is None when the value is the epoch's validation RMSE.
-    """
-
-    def __init__(self, epoch: int, batch: int | None, loss: float):
-        self.epoch = epoch
-        self.batch = batch
-        self.loss = loss
-        if batch is None:
-            super().__init__(f"non-finite validation RMSE {loss} at epoch {epoch}")
-        else:
-            super().__init__(f"non-finite loss {loss} at epoch {epoch}, batch {batch}")
+    """A non-finite loss, parameter or RMSE: the numerical failure."""
 
 
 @dataclass
@@ -64,18 +55,13 @@ class TrainConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError(f"optimizer must be 'adam' or 'gd', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.early_stop_patience < 1:
-            raise ValueError(
-                f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
-            )
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -117,16 +103,14 @@ def rmse(predictions, truths) -> float:
 
 
 def _record_gradient(model: Model, inputs, label: float, n: int):
-    """One record's prediction, squared error and, if that is finite, the
-    gradient of its 1/n share of the batch loss, on a tape that dies here."""
+    """One record's prediction, squared error and the gradient of its 1/n
+    share of the batch loss, on a tape that dies here."""
     tape = Tape()
     pred = build_prediction(tape, lift(tape, model), inputs)
     err = tape.squared_error(pred, tape.const(np.array([label])))
     tape.mul(err, tape.const(np.array([1.0 / n])))
     tape.forward()
-    error = float(err.value[0])
-    grads = tape.backward() if math.isfinite(error) else None
-    return float(pred.value[0]), error, grads
+    return float(pred.value[0]), float(err.value[0]), tape.backward()
 
 
 def minibatch_gradient(model: Model, inputs, labels: list[float]):
@@ -136,7 +120,7 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
 
     A parameter has one consumer per record, so summing the record gradients
     in record order, from the first, gives the bits of one tape over the
-    whole batch. The gradient is incomplete when the loss is not finite.
+    whole batch.
     """
     n = len(labels)
     preds: list[float] = []
@@ -146,7 +130,7 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
         pred, error, record_grads = _record_gradient(model, x, y, n)
         preds.append(pred)
         errors.append(error)
-        for name, g in (record_grads or {}).items():
+        for name, g in record_grads.items():
             grads[name] = grads[name] + g if name in grads else g
     return preds, math.fsum(errors) / n, grads
 
@@ -189,15 +173,19 @@ def train(
             )
             epoch_preds += preds
             epoch_truth += truth
+            where = f"epoch {epoch}, batch {batch_no}"
             if not math.isfinite(loss):
-                raise DivergenceError(epoch, batch_no, loss)
+                raise DivergenceError(f"non-finite loss {loss} at {where}")
             if adam is not None:
                 adam_step(adam, params, grads)
             else:
                 sgd_step(cfg.lr, params, grads)
+            for name, value in params.items():
+                if not np.isfinite(value).all():
+                    raise DivergenceError(f"non-finite {name} after the step at {where}")
         val_rmse = evaluate(model, records, dataset_split.validation)
         if not math.isfinite(val_rmse):
-            raise DivergenceError(epoch, None, val_rmse)
+            raise DivergenceError(f"non-finite validation RMSE {val_rmse} at epoch {epoch}")
         train_rmse = rmse(epoch_preds, epoch_truth)
         seconds = (time.perf_counter() - started) if cfg.timing else 0.0
         result.stats.append(EpochStats(epoch, train_rmse, val_rmse, seconds))

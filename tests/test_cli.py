@@ -155,12 +155,25 @@ class TestTrainEval:
     def test_eval_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
         data, _ = make_binary(tmp_path)
         ckpt = tmp_path / "model.drnp"
-        model = init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0)
-        model.params["linear.bias"][0] = float("nan")
-        save_checkpoint(str(ckpt), model)
+        save_checkpoint(str(ckpt), init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0))
+        # the file ends with linear.bias, one float64
+        ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", float("nan")))
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert "linear.bias" in captured.err and "non-finite" in captured.err
+        assert "test_rmse" not in captured.out
+
+    def test_eval_non_finite_test_rmse_is_numeric_failure(self, tmp_path, capsys):
+        # every weight is finite, but each prediction overflows to inf
+        data, _ = make_binary(tmp_path)
+        ckpt = tmp_path / "model.drnp"
+        model = init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0)
+        for arr in model.params.values():
+            arr[...] = 1e308
+        save_checkpoint(str(ckpt), model)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "non-finite test RMSE inf" in captured.err
         assert "test_rmse" not in captured.out
 
     def test_header_only_dataset_is_data_error(self, tmp_path, capsys):
@@ -240,13 +253,35 @@ class TestUsageErrors:
         ["train", "--lr", "nan"],
         ["train", "--lr", "inf"],
         ["gradcheck", "--stacks", "0"],
+        ["train", "--seed", "-1"],
+        ["eval", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
+        ["convert", "--dims", "0,1,1,1"],
+        ["train", "--optimizer", "sgd"],
     ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_out_of_range_number_rejected_at_parse_time(self, argv, tmp_path, capsys):
         data, _ = make_binary(tmp_path, count=20)
         command, flag, value = argv
-        extra = ["--data", str(data), "--model", "linear"] if command == "train" else []
+        extra = {
+            "train": ["--data", str(data), "--model", "linear"],
+            "eval": ["--ckpt", str(tmp_path / "absent.drnp"), "--data", str(data)],
+            "convert": ["--in", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "out.drn1")],
+        }.get(command, [])
         assert main([command, *extra, flag, value]) == 1
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "x", "--stacks", "0"], "argument --stacks: stacks must be >= 1, got 0"),
+        (["train", "--data", "x", "--pool", "0"], "argument --pool: pool_factor must be >= 1, got 0"),
+        (["train", "--data", "x", "--batch", "0"], "argument --batch: batch_size must be >= 1, got 0"),
+        (["eval", "--ckpt", "x", "--data", "x", "--seed", "-1"],
+         "argument --seed: seed must be >= 0, got -1"),
+        (["convert", "--in", "x", "--out", "y", "--dims", "1,1,0,1"],
+         "argument --dims: in_h must be >= 1, got 0"),
+    ], ids=["stacks", "pool", "batch", "seed", "dims"])
+    def test_flag_rule_message_is_the_owners(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestThreads:

@@ -519,6 +519,13 @@ class TestCheckpoint:
         assert [p.name for p in target.iterdir()] == ["kept"]
         assert (target / "kept").read_bytes() == b"x"
 
+    def test_save_refuses_a_non_finite_tensor_and_leaves_no_file(self, tmp_path):
+        model = init_params(ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2), 0)
+        model.params["linear.bias"][0] = float("nan")
+        with pytest.raises(CheckpointError, match="tensor linear.bias: non-finite values"):
+            save_checkpoint(str(tmp_path / "model.drnp"), model)
+        assert list(tmp_path.iterdir()) == []
+
     def test_roundtrip_preserves_predictions(self, tmp_path):
         spec = ModelSpec("conv-lstm", stacks=1, hidden=2, in_t=2, in_c=1, in_h=4, in_w=4)
         model = init_params(spec, 3)

@@ -147,6 +147,25 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="validation RMSE"):
             train(cfg, records, sp)
 
+    def test_non_finite_step_names_its_tensor_and_batch(self, monkeypatch):
+        # Adam turns an infinite gradient into inf/inf = NaN in the weights;
+        # the next batch's loss would blame batch 2
+        records, sp = tiny_dataset(count=40, seed=13)
+        calls = []
+
+        def injected(model, inputs, labels):
+            preds, loss, grads = minibatch_gradient(model, inputs, labels)
+            calls.append(None)
+            if len(calls) == 2:
+                grads["linear.weight"][0, 0] = math.inf
+            return preds, loss, grads
+
+        monkeypatch.setattr("deeprain.train.minibatch_gradient", injected)
+        cfg = TrainConfig(model=ModelSpec("linear", **TINY), batch_size=8, max_epochs=1, seed=13)
+        with pytest.raises(DivergenceError, match=r"non-finite linear\.weight after the step "
+                           r"at epoch 0, batch 1$"):
+            train(cfg, records, sp)
+
     def test_requires_nonempty_split(self):
         records, sp = tiny_dataset(count=10)
         sp.validation = []
