@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Building an owner takes its required field; conv-lstm is the kind whose
-# kernel rule applies.
+# The field each owner requires, so that one other field can be judged
+# alone; conv-lstm is the kind whose kernel rule applies.
 _REQUIRED = {ModelSpec: {"kind": "conv-lstm"}, TrainConfig: {"model": ModelSpec("linear")}}
 # Eval must split the data as train did, so the three commands share one seed.
 SEED = 42
