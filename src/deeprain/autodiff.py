@@ -177,7 +177,7 @@ class Tape:
         hidden = c_prev.value.shape[0]
         if pre.value.shape[0] != 4 * hidden:
             raise T.ShapeError(
-                "lstm_cell", "gates", f"expected {4 * hidden} rows, got {pre.value.shape[0]}"
+                f"lstm_cell: gates: expected {4 * hidden} rows, got {pre.value.shape[0]}"
             )
         gates = T.map_sigmoid(pre.value[: 3 * hidden])
         i, f, o = gates[:hidden], gates[hidden : 2 * hidden], gates[2 * hidden :]
@@ -218,9 +218,7 @@ class Tape:
     def squared_error(self, pred: Node, target: Node) -> Node:
         """Sum of elementwise squared differences, as a [1] scalar node."""
         if pred.value.shape != target.value.shape:
-            raise T.ShapeError(
-                "squared_error", "shape", f"{pred.value.shape} vs {target.value.shape}"
-            )
+            raise T.ShapeError(f"squared_error: shape: {pred.value.shape} vs {target.value.shape}")
         diff = pred.value - target.value
         out = np.array([float(np.dot(diff.ravel(), diff.ravel()))])
 

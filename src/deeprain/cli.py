@@ -7,6 +7,7 @@ Seeds always come from flags so every run is replayable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -48,6 +49,8 @@ class _Parser(argparse.ArgumentParser):
 _REQUIRED = {ModelSpec: {"kind": "conv-lstm"}, TrainConfig: {"model": ModelSpec("linear")}}
 # Eval must split the data as train did, so the three commands share one seed.
 SEED = 42
+# ModelSpec's input geometry, which the data sets, not a flag.
+_DIMS = ("in_t", "in_c", "in_h", "in_w")
 
 
 def _judge(owner, **fields) -> None:
@@ -59,7 +62,7 @@ def _judge(owner, **fields) -> None:
 
 
 def _owned(p, flag: str, owner, field: str, convert=int, default=None) -> None:
-    """Add ``flag``, which sets ``owner``'s ``field``: the owner states the
+    """Add ``flag``, stored as ``owner``'s ``field``: the owner states the
     rule and, unless ``default`` is given, the default."""
 
     def parse(text: str):
@@ -68,7 +71,15 @@ def _owned(p, flag: str, owner, field: str, convert=int, default=None) -> None:
         return value
 
     parse.__name__ = convert.__name__
-    p.add_argument(flag, type=parse, default=getattr(owner, field) if default is None else default)
+    p.add_argument(
+        flag, dest=field, type=parse, default=getattr(owner, field) if default is None else default
+    )
+
+
+def _fields(owner, args) -> dict:
+    """The parsed values of ``owner``'s fields that ``args`` holds."""
+    names = (f.name for f in dataclasses.fields(owner))
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _dims(text: str) -> tuple:
@@ -76,7 +87,7 @@ def _dims(text: str) -> tuple:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected T,C,H,W, got {text!r}")
     dims = tuple(int(part) for part in parts)
-    _judge(ModelSpec, **dict(zip(("in_t", "in_c", "in_h", "in_w"), dims)))
+    _judge(ModelSpec, **dict(zip(_DIMS, dims)))
     return dims
 
 
@@ -97,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a DRN1 dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", default="conv-lstm", choices=KINDS)
+    p.add_argument("--model", dest="kind", default="conv-lstm", choices=KINDS)
     _owned(p, "--stacks", ModelSpec, "stacks")
     _owned(p, "--hidden", ModelSpec, "hidden")
     _owned(p, "--kernel", ModelSpec, "kernel")
@@ -125,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of every parameter gradient")
-    p.add_argument("--model", default="conv-lstm", choices=KINDS)
+    p.add_argument("--model", dest="kind", default="conv-lstm", choices=KINDS)
     _owned(p, "--stacks", ModelSpec, "stacks")
     _owned(p, "--seed", TrainConfig, "seed", default=SEED)
     p.set_defaults(func=cmd_gradcheck)
@@ -157,28 +168,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     records = read_binary(args.data)
-    t, c, h, w = records[0].dims
-    spec = ModelSpec(
-        kind=args.model,
-        stacks=args.stacks,
-        hidden=args.hidden,
-        kernel=args.kernel,
-        pool_factor=args.pool,
-        in_t=t,
-        in_c=c,
-        in_h=h,
-        in_w=w,
-    )
-    cfg = TrainConfig(
-        model=spec,
-        optimizer=args.optimizer,
-        lr=args.lr,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        early_stop_patience=args.patience,
-        seed=args.seed,
-        timing=args.timing,
-    )
+    dims = dict(zip(_DIMS, records[0].dims))
+    spec = ModelSpec(**_fields(ModelSpec, args), **dims)
+    cfg = TrainConfig(model=spec, **_fields(TrainConfig, args))
     sp = split(len(records), seed=args.seed)
     result = train(cfg, records, sp, log=print)
     print(f"best_val_rmse={result.best_val_rmse:.12g} (epoch {result.best_epoch})")
@@ -208,16 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    spec = ModelSpec(
-        kind=args.model,
-        stacks=args.stacks,
-        hidden=2,
-        kernel=3,
-        in_t=3,
-        in_c=2,
-        in_h=5,
-        in_w=5,
-    )
+    spec = ModelSpec(**_fields(ModelSpec, args), hidden=2, kernel=3, in_t=3, in_c=2, in_h=5, in_w=5)
     report = gradcheck_model(spec, args.seed)
     print(report.render())
     if not report.passed:

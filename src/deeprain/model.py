@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 
@@ -50,6 +50,8 @@ GATES = ("w_xi", "w_xf", "w_xo", "w_xc", "w_hi", "w_hf", "w_ho", "w_hc", "b_i", 
 
 CHECKPOINT_MAGIC = b"DRNP"
 CHECKPOINT_VERSION = 1
+# magic, version, kind code, ModelSpec's eight sizes, tensor count
+CHECKPOINT_HEADER = "<4sIB8II"
 
 
 @dataclass
@@ -90,6 +92,10 @@ class ModelSpec:
     @property
     def frame_dim(self) -> int:
         return self.in_c * self.pooled_h * self.pooled_w
+
+
+# ModelSpec's sizes in DRNP header order: every field after ``kind``.
+_SIZES = tuple(f.name for f in fields(ModelSpec))[1:]
 
 
 LstmCellParams = make_dataclass(
@@ -217,16 +223,14 @@ def lstm_cell_step(tape: Tape, p: LstmCellParams, x: Node, state: CellState) -> 
     state, or an FC-LSTM step on a [D] input with [hidden] state."""
     if x.shape[0] != p.w_xi.shape[1]:
         raise ShapeError(
-            "lstm_cell_step",
-            "input gate / extent",
-            f"input has extent {x.shape[0]}, w_xi expects {p.w_xi.shape[1]}",
+            "lstm_cell_step: input gate / extent: "
+            f"input has extent {x.shape[0]}, w_xi expects {p.w_xi.shape[1]}"
         )
     shape = (p.b_i.shape[0],) + x.shape[1:]
     if state.h.shape != shape or state.c.shape != shape:
         raise ShapeError(
-            "lstm_cell_step",
-            "recurrent gate / state",
-            f"state shapes {state.h.shape} and {state.c.shape}, expected {shape}",
+            "lstm_cell_step: recurrent gate / state: "
+            f"state shapes {state.h.shape} and {state.c.shape}, expected {shape}"
         )
     return _fused_step(tape, _fuse_gates(tape, p), x, state)
 
@@ -260,9 +264,7 @@ def regression_head(tape: Tape, weight: Node, bias: Node, h_t: Node) -> Node:
     if len(h_t.shape) == 3:
         h_t = tape.global_avg_pool(h_t)
     elif len(h_t.shape) != 1:
-        raise ShapeError(
-            "regression_head", "input", f"expected rank 1 or 3, got rank {len(h_t.shape)}"
-        )
+        raise ShapeError(f"regression_head: input: expected rank 1 or 3, got rank {len(h_t.shape)}")
     return tape.affine(h_t, weight, bias)
 
 
@@ -278,10 +280,8 @@ def preprocess(frames: np.ndarray, spec: ModelSpec):
     arr = np.asarray(frames)
     if arr.shape != (spec.in_t, spec.in_c, spec.in_h, spec.in_w):
         raise ShapeError(
-            "preprocess",
-            "record dims",
-            f"got {arr.shape}, spec expects "
-            f"({spec.in_t}, {spec.in_c}, {spec.in_h}, {spec.in_w})",
+            f"preprocess: record dims: got {arr.shape}, spec expects "
+            f"({spec.in_t}, {spec.in_c}, {spec.in_h}, {spec.in_w})"
         )
     norm = arr.astype(np.float64) / 255.0
     steps = [norm[t] for t in range(spec.in_t)]
@@ -342,7 +342,7 @@ def gradcheck_model(spec: ModelSpec, seed: int) -> GradCheckReport:
         tape.squared_error(pred, tape.const(target))
         return tape
 
-    return grad_check(loss_fn, init_params(spec, seed).named_parameters(), step=1e-3, tol=1e-4)
+    return grad_check(loss_fn, init_params(spec, seed).named_parameters())
 
 
 # -- checkpoint container ---------------------------------------------------
@@ -365,10 +365,10 @@ def save_checkpoint(path: str, model: Model) -> None:
     named = model.named_parameters()
 
     def write(fh):
+        sizes = [getattr(spec, name) for name in _SIZES]
         fh.write(struct.pack(
-            "<4sIB8II", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_CODE[spec.kind],
-            spec.stacks, spec.hidden, spec.kernel, spec.pool_factor,
-            spec.in_t, spec.in_c, spec.in_h, spec.in_w, len(named),
+            CHECKPOINT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KIND_CODE[spec.kind],
+            *sizes, len(named),
         ))
         for name, arr in named.items():
             _require_finite(name, arr)
@@ -382,29 +382,17 @@ def save_checkpoint(path: str, model: Model) -> None:
 def load_checkpoint(path: str) -> Model:
     with open(path, "rb") as fh:
         r = BoundedReader(fh, CheckpointError)
-        magic, version, kind_code = r.take("<4sIB")
+        magic, version, kind_code, *sizes, count = r.take(CHECKPOINT_HEADER)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         if kind_code >= len(KINDS):
             raise CheckpointError(f"unknown model kind code {kind_code}")
-        stacks, hidden, kernel, pool, t, c, h, w = r.take("<8I")
         try:
-            spec = ModelSpec(
-                kind=KINDS[kind_code],
-                stacks=stacks,
-                hidden=hidden,
-                kernel=kernel,
-                pool_factor=pool,
-                in_t=t,
-                in_c=c,
-                in_h=h,
-                in_w=w,
-            )
+            spec = ModelSpec(kind=KINDS[kind_code], **dict(zip(_SIZES, sizes)))
         except ValueError as exc:
             raise CheckpointError(f"invalid model spec: {exc}") from None
-        (count,) = r.take("<I")
         # A tensor takes at least 12 bytes (name length, rank, one extent)
         # and every stack owns tensors, so the layout is bounded by the
         # file's size; it is counted, not kept, before any table is built.

@@ -224,23 +224,8 @@ def check_train_rerun_bitwise():
         assert np.array_equal(arr, b.model.named_parameters()[name])
 
 
-ALL_CHECKS = [
-    check_conv2d_matches_naive_reference,
-    check_conv2d_linearity,
-    check_sigmoid_tanh_open_intervals,
-    check_convlstm_cell_matches_transcription,
-    check_degenerate_equivalence,
-    check_gradients_match_finite_differences,
-    check_adam_first_step_and_trace,
-    check_binary_roundtrip,
-    check_binary_rejects_corruption,
-    check_checkpoint_roundtrip,
-    check_split_partitions,
-    check_minibatch_permutations,
-    check_synth_label_closed_form,
-    check_forward_backward_rerun_bitwise,
-    check_train_rerun_bitwise,
-]
+# Every check above, in definition order: defining one registers it.
+ALL_CHECKS = [fn for name, fn in globals().items() if name.startswith("check_")]
 
 
 def run_checks(checks=None, out=print) -> bool:

@@ -30,13 +30,7 @@ _TINY = np.finfo(np.float64).tiny
 
 
 class ShapeError(ValueError):
-    """Shape or extent mismatch, naming the operation and offending axis."""
-
-    def __init__(self, op: str, axis: str, detail: str):
-        self.op = op
-        self.axis = axis
-        self.detail = detail
-        super().__init__(f"{op}: {axis}: {detail}")
+    """Shape or extent mismatch; the message reads "op: axis: detail"."""
 
 
 def as_tensor(values) -> np.ndarray:
@@ -99,19 +93,17 @@ def conv2d(
     fill outside the input.
     """
     if input.ndim != 3:
-        raise ShapeError("conv2d", "input", f"expected rank 3, got rank {input.ndim}")
+        raise ShapeError(f"conv2d: input: expected rank 3, got rank {input.ndim}")
     if kernels.ndim != 4:
-        raise ShapeError("conv2d", "kernels", f"expected rank 4, got rank {kernels.ndim}")
+        raise ShapeError(f"conv2d: kernels: expected rank 4, got rank {kernels.ndim}")
     c, h, w = input.shape
     o, kc, kh, kw = kernels.shape
     if bias is not None and bias.shape != (o,):
-        raise ShapeError("conv2d", "bias", f"expected shape ({o},), got {bias.shape}")
+        raise ShapeError(f"conv2d: bias: expected shape ({o},), got {bias.shape}")
     if kc != c:
-        raise ShapeError(
-            "conv2d", "channel", f"input has {c} channels, kernels expect {kc}"
-        )
+        raise ShapeError(f"conv2d: channel: input has {c} channels, kernels expect {kc}")
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError("conv2d", "kernel extent", f"extents must be odd, got {kh}x{kw}")
+        raise ShapeError(f"conv2d: kernel extent: extents must be odd, got {kh}x{kw}")
     out = (kernels.reshape(o, c * kh * kw) @ _im2col(input, kh, kw)).reshape(o, h, w)
     return out if bias is None else out + bias[:, None, None]
 
@@ -119,18 +111,16 @@ def conv2d(
 def affine(input: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """weight [M,N] @ input [N] + bias [M] -> [M]; no bias term when ``bias`` is None."""
     if input.ndim != 1:
-        raise ShapeError("affine", "input", f"expected rank 1, got rank {input.ndim}")
+        raise ShapeError(f"affine: input: expected rank 1, got rank {input.ndim}")
     if weight.ndim != 2:
-        raise ShapeError("affine", "weight", f"expected rank 2, got rank {weight.ndim}")
+        raise ShapeError(f"affine: weight: expected rank 2, got rank {weight.ndim}")
     m, n = weight.shape
     if input.shape[0] != n:
-        raise ShapeError(
-            "affine", "inner extent", f"input has {input.shape[0]}, weight expects {n}"
-        )
+        raise ShapeError(f"affine: inner extent: input has {input.shape[0]}, weight expects {n}")
     if bias is None:
         return weight @ input
     if bias.shape != (m,):
-        raise ShapeError("affine", "bias", f"expected shape ({m},), got {bias.shape}")
+        raise ShapeError(f"affine: bias: expected shape ({m},), got {bias.shape}")
     return weight @ input + bias
 
 
@@ -154,21 +144,21 @@ def map_tanh(t: np.ndarray) -> np.ndarray:
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise product of identically shaped tensors."""
     if a.shape != b.shape:
-        raise ShapeError("hadamard", "shape", f"{a.shape} vs {b.shape}")
+        raise ShapeError(f"hadamard: shape: {a.shape} vs {b.shape}")
     return a * b
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise sum of identically shaped tensors."""
     if a.shape != b.shape:
-        raise ShapeError("add", "shape", f"{a.shape} vs {b.shape}")
+        raise ShapeError(f"add: shape: {a.shape} vs {b.shape}")
     return a + b
 
 
 def global_avg_pool(t: np.ndarray) -> np.ndarray:
     """[C,H,W] -> [C], per-channel spatial mean."""
     if t.ndim != 3:
-        raise ShapeError("global_avg_pool", "input", f"expected rank 3, got rank {t.ndim}")
+        raise ShapeError(f"global_avg_pool: input: expected rank 3, got rank {t.ndim}")
     return t.mean(axis=(1, 2))
 
 
@@ -179,9 +169,9 @@ def avg_pool2d(t: np.ndarray, factor: int) -> np.ndarray:
     introduced at the borders. Factor 1 returns a copy of the input.
     """
     if t.ndim != 3:
-        raise ShapeError("avg_pool2d", "input", f"expected rank 3, got rank {t.ndim}")
+        raise ShapeError(f"avg_pool2d: input: expected rank 3, got rank {t.ndim}")
     if factor < 1:
-        raise ShapeError("avg_pool2d", "factor", f"must be >= 1, got {factor}")
+        raise ShapeError(f"avg_pool2d: factor: must be >= 1, got {factor}")
     if factor == 1:
         return t.copy()
     c, h, w = t.shape

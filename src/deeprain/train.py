@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -88,6 +88,16 @@ class TrainResult:
     best_val_rmse: float = math.inf
 
 
+def _mean(terms: list[float], n: int) -> float:
+    """Exact sum of nonnegative ``terms`` over ``n``. A sum past the float
+    range is inf, its correctly rounded value, where ``math.fsum`` raises:
+    inf then reaches the divergence checks."""
+    try:
+        return math.fsum(terms) / n
+    except OverflowError:
+        return math.inf
+
+
 def rmse(predictions, truths) -> float:
     """sqrt(mean((p - t)^2)), exact-sum accumulation (order independent)."""
     preds = list(predictions)
@@ -98,8 +108,7 @@ def rmse(predictions, truths) -> float:
         raise ValueError(f"rmse: length mismatch {len(preds)} vs {len(trues)}")
     # (d * d), not d**2: float pow raises OverflowError on huge inputs where
     # multiplication yields inf, and inf must flow to the divergence check
-    total = math.fsum((p - t) * (p - t) for p, t in zip(preds, trues))
-    return math.sqrt(total / len(preds))
+    return math.sqrt(_mean([(p - t) * (p - t) for p, t in zip(preds, trues)], len(preds)))
 
 
 def _record_gradient(model: Model, inputs, label: float, n: int):
@@ -132,7 +141,7 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
         errors.append(error)
         for name, g in record_grads.items():
             grads[name] = grads[name] + g if name in grads else g
-    return preds, math.fsum(errors) / n, grads
+    return preds, _mean(errors, n), grads
 
 
 def train(
@@ -222,6 +231,6 @@ def emit_curve(stats: list[EpochStats], path: str) -> None:
         raise ValueError("emit_curve: no stats to write")
     rows = sorted(stats, key=lambda s: s.epoch)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_rmse,val_rmse,seconds\n")
+        fh.write(",".join(f.name for f in fields(EpochStats)) + "\n")
         for s in rows:
-            fh.write(f"{s.epoch},{s.train_rmse:.12g},{s.val_rmse:.12g},{s.seconds:.12g}\n")
+            fh.write(",".join(format(v, ".12g") for v in astuple(s)) + "\n")

@@ -13,6 +13,7 @@ from deeprain.data import (
 )
 from deeprain.model import ModelSpec, init_params, save_checkpoint
 from deeprain.selftest import run_checks
+from deeprain.train import TrainConfig
 
 
 def write_text_dataset(path, lines):
@@ -164,17 +165,20 @@ class TestTrainEval:
         assert "test_rmse" not in captured.out
 
     def test_eval_non_finite_test_rmse_is_numeric_failure(self, tmp_path, capsys):
-        # every weight is finite, but each prediction overflows to inf
+        # every weight is finite; either each prediction overflows to inf, or
+        # the two test predictions are 1.2e154 and their squares (1.44e308
+        # each) are finite but sum past the float range
         data, _ = make_binary(tmp_path)
-        ckpt = tmp_path / "model.drnp"
-        model = init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0)
-        for arr in model.params.values():
-            arr[...] = 1e308
-        save_checkpoint(str(ckpt), model)
-        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "1"]) == 3
-        captured = capsys.readouterr()
-        assert "non-finite test RMSE inf" in captured.err
-        assert "test_rmse" not in captured.out
+        for weight, bias in ((1e308, 1e308), (0.0, 1.2e154)):
+            ckpt = tmp_path / f"model-{bias}.drnp"
+            model = init_params(ModelSpec("linear", in_t=2, in_c=1, in_h=4, in_w=4), 0)
+            model.params["linear.weight"][...] = weight
+            model.params["linear.bias"][...] = bias
+            save_checkpoint(str(ckpt), model)
+            assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "1"]) == 3
+            captured = capsys.readouterr()
+            assert "non-finite test RMSE inf" in captured.err
+            assert "test_rmse" not in captured.out
 
     def test_header_only_dataset_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "empty.drn1"
@@ -192,6 +196,51 @@ class TestTrainEval:
         ]) == 0
         out = capsys.readouterr().out
         assert any(line.startswith("epoch 0: train=") and ", val=" in line for line in out.splitlines())
+
+
+class TestFlagMapping:
+    """Each model and training flag lands in its own config field."""
+
+    class Captured(Exception):
+        pass
+
+    def capture(self, monkeypatch, name):
+        seen = []
+
+        def fake(*args, **kwargs):
+            seen.append(args)
+            raise self.Captured
+
+        monkeypatch.setattr(f"deeprain.cli.{name}", fake)
+        return seen
+
+    def test_train_flags_build_the_config(self, tmp_path, monkeypatch):
+        data, _ = make_binary(tmp_path)
+        seen = self.capture(monkeypatch, "train")
+        with pytest.raises(self.Captured):
+            main([
+                "train", "--data", str(data), "--model", "fc-lstm", "--stacks", "2",
+                "--hidden", "3", "--kernel", "5", "--pool", "2", "--optimizer", "gd",
+                "--lr", "0.01", "--batch", "7", "--epochs", "4", "--patience", "2",
+                "--seed", "9", "--timing",
+            ])
+        spec = ModelSpec(
+            kind="fc-lstm", stacks=2, hidden=3, kernel=5, pool_factor=2,
+            in_t=2, in_c=1, in_h=4, in_w=4,
+        )
+        assert seen[0][0] == TrainConfig(
+            model=spec, optimizer="gd", lr=0.01, batch_size=7, max_epochs=4,
+            early_stop_patience=2, seed=9, timing=True,
+        )
+
+    def test_gradcheck_flags_build_the_spec(self, monkeypatch):
+        seen = self.capture(monkeypatch, "gradcheck_model")
+        with pytest.raises(self.Captured):
+            main(["gradcheck", "--model", "fc-lstm", "--stacks", "2", "--seed", "9"])
+        spec = ModelSpec(
+            kind="fc-lstm", stacks=2, hidden=2, kernel=3, in_t=3, in_c=2, in_h=5, in_w=5
+        )
+        assert seen == [(spec, 9)]
 
 
 class TestGradcheckCommand:

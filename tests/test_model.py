@@ -544,6 +544,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(str(path))
 
+    def test_file_shorter_than_the_header_is_truncated(self, tmp_path):
+        path = tmp_path / "model.drnp"
+        path.write_bytes(b"DRNP" + bytes(40))  # the header is 45 bytes
+        with pytest.raises(CheckpointError, match="truncated file"):
+            load_checkpoint(str(path))
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.drnp"
         spec = ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deeprain.data import SynthConfig, split, synth_generate
+from deeprain.data import RadarRecord, SynthConfig, split, synth_generate
 from deeprain.autodiff import Tape
 from deeprain.model import (
     Model,
@@ -55,6 +55,10 @@ class TestRmse:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             rmse([1.0], [1.0, 2.0])
+
+    def test_overflowing_sum_is_inf(self):
+        # both squares are finite (8.41e306 and 1.7689e308); their sum is not
+        assert rmse([2.9e153, 1.33e154], [0, 0]) == math.inf
 
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=1, max_size=40),
            st.integers(0, 1000))
@@ -134,6 +138,14 @@ class TestTrain:
             early_stop_patience=10, seed=13,
         )
         with pytest.raises(DivergenceError, match="epoch"):
+            train(cfg, records, sp)
+
+    def test_overflowing_batch_loss_aborts(self):
+        # each squared error, about 1.44e308, is finite; the batch's sum is not
+        records, sp = tiny_dataset(count=40, seed=13)
+        records = [RadarRecord(1.2e154, r.frames) for r in records]
+        cfg = TrainConfig(model=ModelSpec("linear", **TINY), batch_size=8, seed=13)
+        with pytest.raises(DivergenceError, match=r"^non-finite loss inf at epoch 0, batch 0$"):
             train(cfg, records, sp)
 
     def test_non_finite_validation_rmse_aborts(self):
@@ -225,6 +237,16 @@ class TestStreamedBatch:
             assert g.tobytes() == want_grads[name].tobytes(), name
         if spec.kind == "linear":
             assert np.signbit(grads["linear.weight"][grads["linear.weight"] == 0]).any()
+
+    def test_overflowing_loss_is_inf(self):
+        # two predictions of 1e154: each squared error, 1e308, is finite
+        model = init_params(ModelSpec("linear", **TINY), 0)
+        model.params["linear.weight"][...] = 0.0
+        model.params["linear.bias"][...] = 1e154
+        inputs = [preprocess(np.zeros((2, 1, 4, 4), np.uint8), model.spec)] * 2
+        preds, loss, _ = minibatch_gradient(model, inputs, [0.0, 0.0])
+        assert preds == [1e154, 1e154]
+        assert loss == math.inf
 
     @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda s: s.kind)
     def test_training_equals_one_tape_training_bitwise(self, spec, monkeypatch):
