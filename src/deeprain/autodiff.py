@@ -234,7 +234,11 @@ class Tape:
         if not items:
             raise GraphError("mean_scalars: empty input")
         n = len(items)
-        out = np.array([math.fsum(float(it.value[0]) for it in items) / n])
+        values = [float(it.value[0]) for it in items]
+        try:
+            out = np.array([math.fsum(values) / n])
+        except OverflowError:  # a partial sum left the float range; terms over n cannot
+            out = np.array([math.fsum(v / n for v in values)])
 
         def vjp(g):
             share = g / n

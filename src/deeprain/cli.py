@@ -16,6 +16,7 @@ from .data import (
     load_synth_config,
     parse_text_file,
     read_binary,
+    require_writable,
     split,
     synth_generate,
     write_binary,
@@ -149,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_convert(args) -> int:
+    require_writable(args.dst)
     records = parse_text_file(args.src, args.dims)
     write_binary(records, args.dst)
     text_size = os.path.getsize(args.src)
@@ -159,6 +161,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    require_writable(args.dst)
     cfg = load_synth_config(args.config)
     records = synth_generate(cfg)
     write_binary(records, args.dst)
@@ -167,6 +170,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    for path in filter(None, (args.ckpt, args.curve)):
+        require_writable(path)
     records = read_binary(args.data)
     dims = dict(zip(_DIMS, records[0].dims))
     spec = ModelSpec(**_fields(ModelSpec, args), **dims)

@@ -1,7 +1,7 @@
 """Dataset handling: text parsing, the DRN1 binary container, deterministic
 splits and minibatches, and a synthetic radar-sequence generator. The
-bounded reader and the atomic writer here serve both binary containers,
-DRN1 datasets and DRNP checkpoints.
+bounded reader here serves DRN1 datasets and DRNP checkpoints; the atomic
+writer serves those and the learning-curve CSV, every file deeprain writes.
 
 Text layout (one record per line, whitespace separated): the rainfall label
 first, then T*C*H*W reflectivity integers in time-major, then channel, then
@@ -45,6 +45,7 @@ __all__ = [
     "synth_label",
     "load_synth_config",
     "atomic_write",
+    "require_writable",
     "BoundedReader",
 ]
 
@@ -184,18 +185,32 @@ def parse_text_file(path: str, dims: tuple) -> list[RadarRecord]:
     return [parse_text_record(line, dims, line_no=line_no) for line_no, line in _text_lines(path)]
 
 
+def require_writable(path: str) -> None:
+    """Raise OSError naming ``path`` unless ``atomic_write`` can create it.
+    Commands check each output this way before they read any input."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def atomic_write(path: str, write) -> None:
-    """Call ``write(fh)`` on ``path + ".tmp"`` and rename that file over
-    ``path``; on any failure the temporary file is removed and ``path`` is
-    left as it was."""
-    tmp = f"{path}.tmp"
+    """Call ``write(fh)`` on a new temporary file next to ``path``, fsync it
+    and rename it over ``path``; on any failure the temporary file is removed
+    and ``path`` is left as it was. The temporary file's name is unique, and
+    it is created exclusively with the mode that ``open(path, "wb")`` gives."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # outside the try: a name that already exists is not ours to remove
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "wb") as fh:
+        with open(fd, "wb") as fh:
             write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

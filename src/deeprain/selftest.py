@@ -14,6 +14,7 @@ from .autodiff import Tape
 from .data import (
     DataFormatError,
     SynthConfig,
+    atomic_write,
     minibatches,
     read_binary,
     split,
@@ -149,8 +150,9 @@ def check_binary_rejects_corruption():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bad.drn1")
         write_binary(records, path)
-        with open(path, "r+b") as fh:
-            fh.write(b"XXXX")
+        with open(path, "rb") as fh:
+            good = fh.read()
+        atomic_write(path, lambda fh: fh.write(b"XXXX" + good[4:]))
         try:
             read_binary(path)
         except DataFormatError:

@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .autodiff import Tape
-from .data import DatasetSplit, RadarRecord, minibatches
+from .data import DatasetSplit, RadarRecord, atomic_write, minibatches
 from .model import Model, ModelSpec, build_prediction, init_params, lift, predict, preprocess
 from .optim import AdamState, adam_step, sgd_step
 
@@ -230,7 +230,7 @@ def emit_curve(stats: list[EpochStats], path: str) -> None:
     if not stats:
         raise ValueError("emit_curve: no stats to write")
     rows = sorted(stats, key=lambda s: s.epoch)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f.name for f in fields(EpochStats)) + "\n")
-        for s in rows:
-            fh.write(",".join(format(v, ".12g") for v in astuple(s)) + "\n")
+    lines = [",".join(f.name for f in fields(EpochStats))]
+    lines += [",".join(format(v, ".12g") for v in astuple(s)) for s in rows]
+    text = "".join(line + "\n" for line in lines)
+    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))

@@ -48,6 +48,12 @@ class TestForward:
         with pytest.raises(GraphError, match="before forward"):
             tape.backward()
 
+    def test_mean_of_terms_whose_partial_sum_overflows(self):
+        # 1e308 + 1e308 leaves the float range; the mean, 1e308 / 3, does not
+        tape = Tape()
+        tape.mean_scalars([tape.const(scalar(v)) for v in (1e308, 1e308, -1e308)])
+        assert tape.forward() == 1e308 / 3
+
 
 class TestBackward:
     def test_square_gradient(self):

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import pytest
@@ -196,6 +197,45 @@ class TestTrainEval:
         ]) == 0
         out = capsys.readouterr().out
         assert any(line.startswith("epoch 0: train=") and ", val=" in line for line in out.splitlines())
+
+
+class TestOutputPaths:
+    def test_bad_curve_path_fails_before_training(self, tmp_path, capsys):
+        data, _ = make_binary(tmp_path)
+        ckpt = tmp_path / "m.drnp"
+        curve = tmp_path / "nodir" / "c.csv"
+        code = main([
+            "train", "--data", str(data), "--model", "linear", "--epochs", "2", "--batch", "8",
+            "--ckpt", str(ckpt), "--curve", str(curve),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(curve) in captured.err
+        assert "epoch" not in captured.out
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("fault", ["missing directory", "a directory", "read-only directory"])
+    @pytest.mark.parametrize("command", [
+        ["convert", "--in", "{input}", "--out", "{output}", "--dims", "2,1,4,4"],
+        ["synth", "--config", "{input}", "--out", "{output}"],
+        ["train", "--data", "{input}", "--ckpt", "{output}"],
+        ["train", "--data", "{input}", "--curve", "{output}"],
+    ])
+    def test_every_output_is_checked_before_any_input_is_read(
+        self, command, fault, tmp_path, monkeypatch, capsys
+    ):
+        output = {
+            "missing directory": tmp_path / "nodir" / "out",
+            "a directory": tmp_path,
+            "read-only directory": tmp_path / "out",
+        }[fault]
+        if fault == "read-only directory":
+            monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        # the input does not exist either: its error would name the input
+        paths = {"input": str(tmp_path / "absent"), "output": str(output)}
+        assert main([arg.format(**paths) for arg in command]) == 2
+        assert f"cannot write {output}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "nodir")
 
 
 class TestFlagMapping:

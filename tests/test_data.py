@@ -1,3 +1,6 @@
+import errno
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -21,6 +24,9 @@ from deeprain.data import (
     synth_label,
     write_binary,
 )
+from deeprain import data as data_module
+from deeprain.model import ModelSpec, init_params, save_checkpoint
+from deeprain.train import EpochStats, emit_curve
 
 CANONICAL_DIMS = (15, 4, 101, 101)
 CANONICAL_VALUES = 612_060
@@ -215,6 +221,99 @@ class TestBinaryFormat:
             path = os.path.join(tmp, "rt.drn1")
             write_binary(records, path)
             assert read_binary(path) == records
+
+
+# Every writer of an output file, as a function of its path.
+WRITERS = {
+    "drn1": lambda path: write_binary(tiny_records(), path),
+    "drnp": lambda path: save_checkpoint(
+        path, init_params(ModelSpec("linear", in_t=1, in_c=1, in_h=2, in_w=2), 0)
+    ),
+    "curve": lambda path: emit_curve([EpochStats(0, 1.5, 2.5), EpochStats(1, 1.25, 2.25)], path),
+}
+
+
+class FullDisk:
+    """A file whose ``fail_at``-th write raises ENOSPC; ``calls`` counts them."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.calls = fh, fail_at, 0
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failing_write_leaves_the_old_target_and_no_temporary_file(
+        self, kind, tmp_path, monkeypatch
+    ):
+        files = []
+
+        def write(path, fail_at):
+            def full_disk_open(file, mode="r", *args, **kwargs):
+                files.append(FullDisk(open(file, mode, *args, **kwargs), fail_at))
+                return files[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(data_module, "open", full_disk_open, raising=False)
+                WRITERS[kind](path)
+
+        counted = tmp_path / "counted"
+        write(str(counted), fail_at=0)
+        counted.unlink()
+        old = tmp_path / "old"
+        old.write_bytes(b"old bytes")
+        for k in range(1, files[0].calls + 1):
+            for target in (tmp_path / "new", old):
+                with pytest.raises(OSError, match="No space"):
+                    write(str(target), fail_at=k)
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["old"], k
+        assert old.read_bytes() == b"old bytes"
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_data_reaches_the_disk_before_the_rename(self, kind, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(name):
+            real = getattr(os, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("fsync", "replace"):
+            monkeypatch.setattr(os, name, recorded(name))
+        WRITERS[kind](str(tmp_path / "out"))
+        assert calls == ["fsync", "replace"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_output_mode_is_that_of_a_plain_open(self, kind, tmp_path):
+        with open(tmp_path / "plain", "wb"):
+            pass
+        WRITERS[kind](str(tmp_path / "out"))
+        mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+
+    def test_a_file_named_like_a_temporary_keeps_its_bytes(self, tmp_path):
+        (tmp_path / "model.drnp.tmp").write_bytes(b"mine")
+        WRITERS["drnp"](str(tmp_path / "model.drnp"))
+        assert (tmp_path / "model.drnp.tmp").read_bytes() == b"mine"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.drnp", "model.drnp.tmp"]
 
 
 class TestSplit:

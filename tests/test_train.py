@@ -118,6 +118,17 @@ class TestTrain:
         got = evaluate(result.model, records, sp.validation)
         assert abs(got - result.best_val_rmse) < 1e-12
 
+    def test_selection_returns_the_best_epoch_not_the_last(self):
+        records = synth_generate(SynthConfig(count=40, t=3, c=1, h=4, w=4, noise=0.05, seed=4))
+        sp = split(40, (0.6, 0.2, 0.2), seed=4)
+        spec = ModelSpec("fc-lstm", hidden=2, in_t=3, in_c=1, in_h=4, in_w=4)
+        cfg = TrainConfig(model=spec, lr=0.05, batch_size=8, max_epochs=6, early_stop_patience=6, seed=4)
+        result = train(cfg, records, sp)
+        stats = result.stats
+        # the fixture's precondition: the last epoch's parameters are not the best
+        assert result.best_epoch < len(stats) - 1
+        assert evaluate(result.model, records, sp.validation) == stats[result.best_epoch].val_rmse
+
     def test_rerun_reproduces_stats_and_model(self):
         records, sp = tiny_dataset(count=30, seed=9)
         spec = ModelSpec("fc-lstm", stacks=1, hidden=3, **TINY)
