@@ -257,7 +257,7 @@ class FullDisk:
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("kind", sorted(WRITERS))
-    def test_failing_write_leaves_the_old_target_and_no_temporary_file(
+    def test_failing_write_or_rename_leaves_the_old_target_and_no_temporary_file(
         self, kind, tmp_path, monkeypatch
     ):
         files = []
@@ -281,6 +281,15 @@ class TestAtomicWrite:
                 with pytest.raises(OSError, match="No space"):
                     write(str(target), fail_at=k)
                 assert sorted(p.name for p in tmp_path.iterdir()) == ["old"], k
+
+        def failing_rename(src, dst):
+            raise OSError(errno.EIO, "rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_rename)
+        for target in (tmp_path / "new", old):
+            with pytest.raises(OSError, match="rename failed"):
+                WRITERS[kind](str(target))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
         assert old.read_bytes() == b"old bytes"
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
