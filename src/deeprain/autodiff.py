@@ -9,7 +9,10 @@ creation order so reruns are bitwise identical.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +49,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
+        self._seeds: dict[Node, np.ndarray] = {}
         self._forward_done = False
 
     # -- leaves ----------------------------------------------------------
@@ -206,6 +210,143 @@ class Tape:
         h_t = self._record(h_out, (c_t,), h_vjp)
         return c_t, h_t
 
+    def lstm_layer(self, x: Node, wx: Node, wh: Node, b: Node, last: bool = False) -> Node:
+        """Every step of one LSTM layer over a chunk of records, as one node.
+
+        ``x`` is the layer input [k,T,...]: k records of T steps, each a
+        [C,H,W] map for a ConvLSTM layer or a [D] vector for an FC-LSTM
+        layer; the rank of ``wx`` tells them apart, as in ``lstm_cell_step``.
+        ``wx``, ``wh`` and ``b`` stack the i, f, o and g gates' input
+        weights, recurrent weights and biases along axis 0. The states start
+        at zero. The value is every step's hidden state [k,T,hidden,...], or
+        with ``last`` only the final one [k,hidden,...].
+
+        Per record and step this computes what conv2d (or affine), add and
+        lstm_cell compute, in the same order and on GEMMs of the same
+        shapes (stacked ``np.matmul``), so values and gradients have their
+        bits. The VJP is backpropagation through time. It returns the input
+        gradient as one array and each weight's gradient as an iterator over
+        the records: a record's term is its gradient summed over the steps
+        in ascending order, and ``backward`` adds the terms in record order,
+        one record at a time.
+        """
+        xv, w_in, w_rec = x.value, wx.value, wh.value
+        k, steps = xv.shape[:2]
+        hidden = w_rec.shape[1]
+        rows = 4 * hidden
+        spatial = xv.shape[3:]
+        if w_in.shape[0] != rows or w_in.shape[1] != xv.shape[2] or b.value.shape != (rows,):
+            raise T.ShapeError(
+                f"lstm_layer: gates: input {xv.shape}, weights {w_in.shape} and "
+                f"{w_rec.shape}, bias {b.value.shape}"
+            )
+        # project maps a step's inputs [k,C,(H,W)] to gate preactivations
+        # [k,4h,(H,W)] and back maps gate gradients to input gradients;
+        # terms gives one record's weight gradient at each step, in order
+        if w_in.ndim == 4:
+            kh, kw = w_in.shape[2:]
+            h, w = spatial
+            mx, mh, bias = w_in.reshape(rows, -1), w_rec.reshape(rows, -1), b.value[:, None, None]
+
+            def project(m, inp):
+                cols = T._im2col(inp.reshape(-1, h, w), kh, kw).reshape(k, -1, h * w)
+                return np.matmul(m, cols).reshape((k, rows) + spatial)
+
+            def back(m, gp):
+                c = m.shape[1] // (kh * kw)
+                d = np.matmul(m.T, gp.reshape(k, rows, h * w))
+                return T._col2im(d.reshape(-1, h * w), k * c, kh, kw, h, w).reshape((k, c) + spatial)
+
+            def terms(gp, inp):
+                for g, v in zip(gp, inp):
+                    yield (g.reshape(rows, h * w) @ T._im2col(v, kh, kw).T).reshape(rows, -1, kh, kw)
+
+            def bias_terms(gp):
+                return gp.sum(axis=(2, 3))
+        else:
+            mx, mh, bias = w_in, w_rec, b.value
+
+            def project(m, inp):
+                return np.matmul(m, inp[..., None])[..., 0]
+
+            def back(m, gp):
+                return np.matmul(m.T, gp[..., None])[..., 0]
+
+            def terms(gp, inp):  # np.outer at every step
+                return gp[:, :, None] * np.asarray(inp)[:, None, :]
+
+            def bias_terms(gp):
+                return gp
+
+        # per step: the sigmoid gates i, f, o, the tanh gate g and tanh(c);
+        # h and c also keep their zero start, so step t reads h[t], c[t]
+        sig, gs, tanh_c = [], [], []
+        hs = [np.zeros((k, hidden) + spatial)]
+        cs = [hs[0]]
+        for t in range(steps):
+            pre = (project(mx, xv[:, t]) + bias) + project(mh, hs[t])
+            sig.append(T.map_sigmoid(pre[:, : 3 * hidden]))
+            gs.append(T.map_tanh(np.ascontiguousarray(pre[:, 3 * hidden :])))
+            i, f, o = (sig[t][:, j * hidden : (j + 1) * hidden] for j in range(3))
+            cs.append(f * cs[t] + i * gs[t])
+            tanh_c.append(T.map_tanh(cs[t + 1]))
+            hs.append(o * tanh_c[t])
+
+        def vjp(g_out):
+            gpre = np.empty((k, steps, rows) + spatial)
+            gx = np.empty_like(xv) if x.needs_grad else None
+            g_rec = gc_next = None
+            for t in reversed(range(steps)):
+                # h_t's consumers in creation order: the next step, then the
+                # layer above (or, for the last step, whatever reads it)
+                g_up = g_out if last else g_out[:, t]
+                if g_rec is None:
+                    gh = g_up
+                else:
+                    gh = g_rec if last else g_rec + g_up
+                i, f, o = (sig[t][:, j * hidden : (j + 1) * hidden] for j in range(3))
+                g, tc = gs[t], tanh_c[t]
+                gc = gh * o * (1.0 - tc * tc)
+                if gc_next is not None:
+                    gc = gc + gc_next
+                gp = gpre[:, t]
+                gp[:, :hidden] = gc * g * i * (1.0 - i)
+                gp[:, hidden : 2 * hidden] = gc * cs[t] * f * (1.0 - f)
+                gp[:, 2 * hidden : 3 * hidden] = gh * tc * o * (1.0 - o)
+                gp[:, 3 * hidden :] = gc * i * (1.0 - g * g)
+                if t:
+                    gc_next = gc * f
+                    g_rec = back(mh, gp)
+                if gx is not None:
+                    gx[:, t] = back(mx, gp)
+
+            def records(record_terms):
+                for r in range(k):
+                    yield functools.reduce(operator.add, record_terms(r))
+
+            return (
+                gx,
+                records(lambda r: terms(gpre[r], xv[r])) if wx.needs_grad else None,
+                records(lambda r: terms(gpre[r], [h[r] for h in hs[:steps]])) if wh.needs_grad else None,
+                records(lambda r: bias_terms(gpre[r])) if b.needs_grad else None,
+            )
+
+        out = hs[steps] if last else np.stack(hs[1:], axis=1)
+        return self._record(out, (x, wx, wh, b), vjp)
+
+    def index0(self, x: Node, i: int) -> Node:
+        """Item ``i`` along axis 0: one record of a chunk. The VJP fills the
+        other items with -0.0, which adds to any value without changing its
+        bits, so the items' gradients sum into ``x`` exactly."""
+        out = x.value[i].copy()
+
+        def vjp(g):
+            gx = np.full(x.value.shape, -0.0)
+            gx[i] = g
+            return (gx,)
+
+        return self._record(out, (x,), vjp)
+
     def global_avg_pool(self, x: Node) -> Node:
         out = T.global_avg_pool(x.value)
         _, h, w = x.value.shape
@@ -260,6 +401,12 @@ class Tape:
         self._forward_done = True
         return float(loss.value[0])
 
+    def seed(self, node: Node, value: np.ndarray) -> None:
+        """Start the sum of ``node``'s gradient at ``value``: this tape's
+        contributions are added onto it, so that one sum in record order
+        can run over several tapes."""
+        self._seeds[node] = value
+
     def backward(self) -> dict[str, np.ndarray]:
         """Gradient of the terminal loss for every registered parameter.
 
@@ -267,6 +414,9 @@ class Tape:
         leaf gradients, in dicts of its own: a node's contributions are
         dropped as soon as its VJP has consumed them, and the tape keeps no
         state from one call to the next, so ``backward`` can run again.
+
+        A VJP may give a parent an iterator of terms instead of one array;
+        they are added one at a time, in order, at its place in the sum.
         """
         if not self._forward_done:
             raise GraphError("backward called before forward")
@@ -278,9 +428,10 @@ class Tape:
                 continue
             # Contributions arrived in reverse consumer order; sum them in
             # creation order for a reproducible accumulation sequence.
-            acc = contribs[-1]
-            for contrib in reversed(contribs[:-1]):
-                acc = acc + contrib
+            acc = self._seeds.get(node)
+            for contrib in reversed(contribs):
+                for term in contrib if isinstance(contrib, Iterator) else (contrib,):
+                    acc = term if acc is None else acc + term
             if node.vjp is None:
                 leaf_grads[node] = acc
                 continue

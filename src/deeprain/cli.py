@@ -200,7 +200,10 @@ def _report_test_rmse(model, records, indices, clamp: bool = False) -> None:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     records = read_binary(args.data)
-    _report_test_rmse(model, records, split(len(records), seed=args.seed).test, args.clamp)
+    test = split(len(records), seed=args.seed).test
+    if not test:
+        raise ValueError(f"test split is empty: {len(records)} records at seed {args.seed}")
+    _report_test_rmse(model, records, test, args.clamp)
     return EXIT_OK
 
 

@@ -33,6 +33,9 @@ __all__ = [
     "encode_sequence",
     "regression_head",
     "preprocess",
+    "fuse",
+    "record_bytes",
+    "predictions",
     "build_prediction",
     "lift",
     "predict",
@@ -47,6 +50,9 @@ _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 # One LSTM cell's tensors in registration order: the input weights, the
 # recurrent weights and the biases, each in i, f, o, c gate order.
 GATES = ("w_xi", "w_xf", "w_xo", "w_xc", "w_hi", "w_hf", "w_ho", "w_hc", "b_i", "b_f", "b_o", "b_c")
+# A cell's gate tensors stacked four at a time along axis 0: the input
+# weights, the recurrent weights and the biases.
+FUSED = ("wx", "wh", "b")
 
 CHECKPOINT_MAGIC = b"DRNP"
 CHECKPOINT_VERSION = 1
@@ -197,6 +203,12 @@ def init_params(spec: ModelSpec, seed: int) -> Model:
 # -- cell steps and encoders ----------------------------------------------
 
 
+def _stacks(tensors: list, stack) -> tuple:
+    """A cell's twelve tensors, in ``GATES`` order, as the three stacks of
+    ``FUSED``, each of four gates along axis 0 (``stack`` joins four)."""
+    return tuple(stack(tensors[j : j + 4]) for j in (0, 4, 8))
+
+
 def _fuse_gates(tape: Tape, p) -> tuple:
     """Stack the four gates' weights along the output axis.
 
@@ -204,8 +216,7 @@ def _fuse_gates(tape: Tape, p) -> tuple:
     gate preactivations at once; each output row equals the corresponding
     per-gate computation.
     """
-    tensors = [getattr(p, name) for name in GATES]
-    return tuple(tape.concat0(tensors[j : j + 4]) for j in (0, 4, 8))
+    return _stacks([getattr(p, name) for name in GATES], tape.concat0)
 
 
 def _fused_step(tape: Tape, fused: tuple, x: Node, state: CellState) -> CellState:
@@ -299,17 +310,53 @@ def lift(tape: Tape, model: Model) -> Model:
     return Model(model.spec, {name: tape.param(name, arr) for name, arr in model.params.items()})
 
 
+def fuse(spec: ModelSpec, p: dict, stack) -> dict:
+    """``p`` with each cell's twelve gate entries replaced by its three
+    stacks, ``cell{i}.wx``, ``.wh`` and ``.b``: ``tape.concat0`` stacks
+    nodes, ``np.concatenate`` arrays. Other entries pass through."""
+    out = dict(p)
+    if spec.kind != "linear":
+        for i in range(spec.stacks):
+            tensors = [out.pop(f"cell{i}.{name}") for name in GATES]
+            out.update(zip((f"cell{i}.{part}" for part in FUSED), _stacks(tensors, stack)))
+    return out
+
+
+def record_bytes(spec: ModelSpec) -> int:
+    """Bytes one record adds to the arrays that an LSTM model's chunk
+    tape keeps: per layer and step, the layer's input, its h, c and tanh(c)
+    states and its four gate values."""
+    pixels = spec.pooled_h * spec.pooled_w if spec.kind == "conv-lstm" else 1
+    inputs = spec.frame_dim + (spec.stacks - 1) * spec.hidden * pixels
+    return 8 * spec.in_t * (inputs + spec.stacks * 7 * spec.hidden * pixels)
+
+
+def predictions(tape: Tape, spec: ModelSpec, p: dict, xs: np.ndarray) -> list:
+    """Scalar estimate nodes of a chunk of preprocessed records, stacked
+    along a leading axis in ``xs``.
+
+    ``p`` maps the parameter names, with each cell's gates fused (see
+    ``fuse``), to nodes. The encoder is one ``lstm_layer`` node per cell
+    for the whole chunk, layer l >= 1 consuming layer l-1's full hidden
+    sequence; each record then has its own head on the top layer's final
+    hidden state.
+    """
+    if spec.kind == "linear":
+        return [tape.affine(tape.const(x), p["linear.weight"], p["linear.bias"]) for x in xs]
+    top = tape.const(xs)
+    for i in range(spec.stacks):
+        cell = (p[f"cell{i}.{part}"] for part in FUSED)
+        top = tape.lstm_layer(top, *cell, last=i == spec.stacks - 1)
+    head = p["head.weight"], p["head.bias"]
+    return [regression_head(tape, *head, tape.index0(top, r)) for r in range(len(xs))]
+
+
 def build_prediction(tape: Tape, lifted: Model, inputs) -> Node:
-    """Forward graph from preprocessed inputs to the scalar estimate node."""
-    p = lifted.params
-    if lifted.spec.kind == "linear":
-        return tape.affine(tape.const(inputs), p["linear.weight"], p["linear.bias"])
-    cells = [
-        LstmCellParams(**{name: p[f"cell{i}.{name}"] for name in GATES})
-        for i in range(lifted.spec.stacks)
-    ]
-    h_t = encode_sequence(tape, cells, [tape.const(x) for x in inputs])
-    return regression_head(tape, p["head.weight"], p["head.bias"], h_t)
+    """Forward graph from one record's preprocessed inputs to the scalar
+    estimate node: ``predictions`` at k = 1, each cell's gates fused on the
+    tape."""
+    p = fuse(lifted.spec, lifted.params, tape.concat0)
+    return predictions(tape, lifted.spec, p, np.asarray(inputs)[None])[0]
 
 
 def predict(model: Model, record, clamp: bool = False) -> float:
@@ -317,12 +364,24 @@ def predict(model: Model, record, clamp: bool = False) -> float:
 
     ``record`` is a RadarRecord or a raw [T,C,H,W] array. ``clamp`` floors
     the reported value at zero; training always uses the raw output.
+
+    The forward is ``encode_sequence``'s, step by step, with the values of
+    ``build_prediction`` bit for bit: perfbench's traced run counts the
+    conv2d and affine calls of evaluation.
     """
     frames = getattr(record, "frames", record)
     inputs = preprocess(frames, model.spec)
     tape = Tape()
-    lifted = lift(tape, model)
-    node = build_prediction(tape, lifted, inputs)
+    p = lift(tape, model).params
+    if model.spec.kind == "linear":
+        node = tape.affine(tape.const(inputs), p["linear.weight"], p["linear.bias"])
+    else:
+        cells = [
+            LstmCellParams(**{name: p[f"cell{i}.{name}"] for name in GATES})
+            for i in range(model.spec.stacks)
+        ]
+        h_t = encode_sequence(tape, cells, [tape.const(x) for x in inputs])
+        node = regression_head(tape, p["head.weight"], p["head.bias"], h_t)
     value = float(node.value[0])
     return max(0.0, value) if clamp else value
 

@@ -13,12 +13,25 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
 from .autodiff import Tape
 from .data import DatasetSplit, RadarRecord, atomic_write, minibatches
-from .model import Model, ModelSpec, build_prediction, init_params, lift, predict, preprocess
+# build_prediction is not called here; perfbench's tracer wraps it by name
+from .model import (  # noqa: F401
+    Model,
+    ModelSpec,
+    build_prediction,
+    fuse,
+    init_params,
+    lift,
+    predict,
+    predictions,
+    preprocess,
+    record_bytes,
+)
 from .optim import AdamState, adam_step, sgd_step
 
 __all__ = [
@@ -35,6 +48,11 @@ __all__ = [
 
 
 OPTIMIZERS = ("adam", "gd")
+# A training chunk holds as many records as keep its tape's arrays (see
+# model.record_bytes) within this many bytes, and at least one: a 30-record
+# batch of the canonical 5x2x8x8 FC-LSTM, two records of the two-stacked
+# 8-hidden ConvLSTM at 8x8, one at the paper's 26x26 maps.
+CHUNK_BYTES = 640 << 10
 
 
 class DivergenceError(RuntimeError):
@@ -111,36 +129,53 @@ def rmse(predictions, truths) -> float:
     return math.sqrt(_mean([(p - t) * (p - t) for p, t in zip(preds, trues)], len(preds)))
 
 
-def _record_gradient(model: Model, inputs, label: float, n: int):
-    """One record's prediction, squared error and the gradient of its 1/n
-    share of the batch loss, on a tape that dies here."""
-    tape = Tape()
-    pred = build_prediction(tape, lift(tape, model), inputs)
-    err = tape.squared_error(pred, tape.const(np.array([label])))
-    tape.mul(err, tape.const(np.array([1.0 / n])))
-    tape.forward()
-    return float(pred.value[0]), float(err.value[0]), tape.backward()
-
-
 def minibatch_gradient(model: Model, inputs, labels: list[float]):
     """Predictions, mean squared-error loss and its gradient over a minibatch
-    of preprocessed inputs, one per label, holding one record's tape at a
-    time. ``inputs`` may be any iterable; it is read once, in order.
+    of preprocessed inputs, one per label. ``inputs`` may be any iterable;
+    it is read once, in order, one chunk of records at a time.
 
-    A parameter has one consumer per record, so summing the record gradients
-    in record order, from the first, gives the bits of one tape over the
-    whole batch.
+    Each chunk is one tape, each LSTM layer one node over the chunk, and
+    ``CHUNK_BYTES`` bounds what the tape keeps. A chunk's gradient sums
+    start at the previous chunk's, so every parameter adds the records'
+    gradients in record order, from the first: the bits of one tape over
+    the whole batch, whatever the chunk size.
     """
     n = len(labels)
+    # a linear model has no layer node to share, so its chunks are records
+    size = 1 if model.spec.kind == "linear" else max(1, CHUNK_BYTES // record_bytes(model.spec))
+    share = np.array([1.0 / n])
+    reader = iter(inputs)
     preds: list[float] = []
     errors: list[float] = []
-    grads: dict[str, np.ndarray] = {}
-    for x, y in zip(inputs, labels):
-        pred, error, record_grads = _record_gradient(model, x, y, n)
-        preds.append(pred)
-        errors.append(error)
-        for name, g in record_grads.items():
-            grads[name] = grads[name] + g if name in grads else g
+    grads = None
+    for lo in range(0, n, size):
+        count = min(size, n - lo)
+        xs, read = None, 0
+        for x in islice(reader, count):  # one record's inputs at a time
+            x = np.asarray(x)
+            xs = np.empty((count,) + x.shape) if xs is None else xs
+            xs[read] = x
+            read += 1
+        if read < count:
+            raise ValueError(f"minibatch_gradient: length mismatch: {lo + read} inputs vs {n} labels")
+        tape = Tape()
+        p = fuse(model.spec, lift(tape, model).params, tape.concat0)
+        if grads is not None:
+            for name, total in fuse(model.spec, grads, np.concatenate).items():
+                tape.seed(p[name], total)
+        scale = tape.const(share)
+        loss = None
+        for pred, y in zip(predictions(tape, model.spec, p, xs), labels[lo:]):
+            err = tape.squared_error(pred, tape.const(np.array([y])))
+            term = tape.mul(err, scale)
+            loss = term if loss is None else tape.add(loss, term)
+            preds.append(float(pred.value[0]))
+            errors.append(float(err.value[0]))
+        tape.forward()
+        grads = tape.backward()
+    extra = sum(1 for _ in reader)
+    if extra:
+        raise ValueError(f"minibatch_gradient: length mismatch: {n + extra} inputs vs {n} labels")
     return preds, _mean(errors, n), grads
 
 
@@ -175,8 +210,8 @@ def train(
             minibatches(dataset_split.train, cfg.batch_size, epoch, cfg.seed)
         ):
             truth = [records[idx].label for idx in batch]
-            # Each record is preprocessed as its turn comes and freed after
-            # it: memory is bounded by one record, not by the batch
+            # Each record is preprocessed as its chunk is read and freed with
+            # the chunk: memory is bounded by CHUNK_BYTES, not by the batch
             preds, loss, grads = minibatch_gradient(
                 model, (preprocess(records[idx].frames, cfg.model) for idx in batch), truth
             )

@@ -502,3 +502,124 @@ def test_col2im_sums_from_positive_zero_in_offset_order(kh, kw):
     want = dpad[:, ph : ph + h, pw : pw + w]
     got = T._col2im(dcols.reshape(c * kh * kw, h * w), c, kh, kw, h, w)
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _layer_case(rng, conv, k=3, steps=3, hidden=2, channels=2):
+    """A chunk of k distinct records and two stacked cells' fused gate
+    tensors: wx, wh and b stack the i, f, o and g gates along axis 0."""
+    spatial = (3, 3) if conv else ()
+    window = (3, 3) if conv else ()
+    fan_in = channels if conv else channels * 4
+    params = {"x": rng.normal(0, 1, (k, steps, fan_in) + spatial)}
+    for layer, cin in enumerate((fan_in, hidden)):
+        params[f"wx{layer}"] = rng.normal(0, 0.5, (4 * hidden, cin) + window)
+        params[f"wh{layer}"] = rng.normal(0, 0.5, (4 * hidden, hidden) + window)
+        params[f"b{layer}"] = rng.normal(0, 0.5, 4 * hidden)
+    return params
+
+
+def _two_layers(tape, p):
+    x = p["x"]
+    x = tape.lstm_layer(x, p["wx0"], p["wh0"], p["b0"])
+    return tape.lstm_layer(x, p["wx1"], p["wh1"], p["b1"], last=True)
+
+
+@pytest.mark.parametrize("conv", [True, False], ids=["conv", "fc"])
+def test_lstm_layer_over_a_chunk_matches_finite_differences(conv):
+    # The input is a parameter too, so the input gradient of both layers is
+    # checked; each record's top state goes into the loss through index0.
+    rng = np.random.default_rng(23)
+    params = _layer_case(rng, conv)
+    probe = Tape()
+    top = _two_layers(probe, {n: probe.const(a) for n, a in params.items()})
+    targets = _offset_target(rng, top.value)
+    assert len({targets[r].tobytes() for r in range(3)}) == 3
+    assert len({params["x"][r].tobytes() for r in range(3)}) == 3
+
+    def loss_fn(values):
+        tape = Tape()
+        top = _two_layers(tape, {n: tape.param(n, a) for n, a in values.items()})
+        tape.mean_scalars(
+            [tape.squared_error(tape.index0(top, r), tape.const(targets[r])) for r in range(3)]
+        )
+        return tape
+
+    report = grad_check(loss_fn, params, step=1e-3, tol=1e-4)
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("conv", [True, False], ids=["conv", "fc"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lstm_layer_matches_the_step_chain_bitwise(seed, conv):
+    # The reference runs each record on its own conv2d/affine, add and
+    # lstm_cell steps, through its own copy of the weights (a one-item
+    # concat0, as build_prediction fused each record's gates): each record's
+    # gradient is summed over its steps, then the records in order.
+    rng = np.random.default_rng(seed)
+    hidden, k, steps = 3, 3, 4
+    params = _layer_case(rng, conv, k=k, steps=steps, hidden=hidden)
+    xs = params.pop("x")
+    targets = rng.normal(0, 1, (k, hidden) + ((3, 3) if conv else ()))
+    project = Tape.conv2d if conv else Tape.affine
+
+    def chain(tape, p):
+        tops = []
+        for r in range(k):
+            seq = [tape.const(x) for x in xs[r]]
+            for layer in range(2):
+                wx, wh, b = (tape.concat0([p[f"{w}{layer}"]]) for w in ("wx", "wh", "b"))
+                h = c = tape.const(np.zeros((hidden,) + xs.shape[3:]))
+                out = []
+                for x in seq:
+                    pre = tape.add(project(tape, x, wx, b), project(tape, h, wh))
+                    c, h = tape.lstm_cell(pre, c)
+                    out.append(h)
+                seq = out
+            tops.append(seq[-1])
+        return tops
+
+    def chunk(tape, p):
+        top = _two_layers(tape, {**p, "x": tape.const(xs)})
+        return [tape.index0(top, r) for r in range(k)]
+
+    def run(build):
+        tape = Tape()
+        tops = build(tape, {n: tape.param(n, a) for n, a in params.items()})
+        tape.mean_scalars([tape.squared_error(h, tape.const(y)) for h, y in zip(tops, targets)])
+        loss = tape.forward()
+        first = {n: g.tobytes() for n, g in tape.backward().items()}
+        assert first == {n: g.tobytes() for n, g in tape.backward().items()}
+        return [h.value.tobytes() for h in tops], loss, first
+
+    assert run(chunk) == run(chain)
+
+
+def test_seed_starts_the_sum_of_a_nodes_gradient():
+    # 0.1 + 0.2 + 0.3 is not 0.1 + (0.2 + 0.3): the seed comes first
+    tape = Tape()
+    w = tape.param("w", scalar(1.0))
+    tape.seed(w, scalar(0.1))
+    tape.add(tape.mul(w, tape.const(scalar(0.2))), tape.mul(w, tape.const(scalar(0.3))))
+    tape.forward()
+    assert tape.backward()["w"][0] == (0.1 + 0.2) + 0.3
+
+
+def test_lstm_layer_rejects_mismatched_gates():
+    tape = Tape()
+    x = tape.const(np.zeros((1, 2, 3)))
+    with pytest.raises(ShapeError, match="lstm_layer"):
+        tape.lstm_layer(x, tape.const(np.zeros((8, 4))), tape.const(np.zeros((8, 2))),
+                        tape.const(np.zeros(8)))
+
+
+def test_index0_gradients_sum_into_their_items_exactly():
+    # Item 0's gradient is -0.0; a +0.0 fill from item 1's VJP would turn it
+    # into +0.0 in the sum.
+    tape = Tape()
+    x = tape.param("x", np.array([[2.0], [3.0]]))
+    a = tape.mul(tape.index0(x, 0), tape.const(scalar(-0.0)))
+    b = tape.mul(tape.index0(x, 1), tape.const(scalar(0.5)))
+    tape.add(a, b)
+    tape.forward()
+    grad = tape.backward()["x"]
+    assert grad.tobytes() == np.array([[-0.0], [0.5]]).tobytes()

@@ -1,3 +1,4 @@
+import errno
 import os
 import struct
 
@@ -154,6 +155,17 @@ class TestTrainEval:
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--seed", "17"]) == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_eval_names_an_empty_test_split(self, tmp_path, capsys):
+        # the default split of 8 records is 8/0/0; of 12 it is 10/1/1
+        data, _ = make_binary(tmp_path, count=12)
+        small, _ = make_binary(tmp_path, count=8, name="small.drn1")
+        ckpt = tmp_path / "model.drnp"
+        assert main(["train", "--data", str(data), "--model", "linear", "--epochs", "1",
+                     "--ckpt", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(small)]) == 2
+        assert "error: test split is empty: 8 records at seed 42" in capsys.readouterr().err
+
     def test_eval_non_finite_checkpoint_is_data_error(self, tmp_path, capsys):
         data, _ = make_binary(tmp_path)
         ckpt = tmp_path / "model.drnp"
@@ -236,6 +248,46 @@ class TestOutputPaths:
         assert main([arg.format(**paths) for arg in command]) == 2
         assert f"cannot write {output}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "nodir")
+
+
+class TestFailedRename:
+    """Every writing command, with ``os.replace`` failing as on a full disk."""
+
+    COMMANDS = {
+        "convert": ["convert", "--in", "{text}", "--out", "{out}", "--dims", "2,1,4,4"],
+        "synth": ["synth", "--config", "{config}", "--out", "{out}"],
+        "train": ["train", "--data", "{data}", "--model", "linear", "--epochs", "1",
+                  "--ckpt", "{out}", "--curve", "{curve}"],
+    }
+
+    @pytest.mark.parametrize("old", [False, True], ids=["new target", "old target"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2_and_leaves_the_target_as_it_was(self, command, old, tmp_path, monkeypatch, capsys):
+        data, records = make_binary(tmp_path, count=12)
+        text = tmp_path / "data.txt"
+        write_text_dataset(text, [
+            " ".join([repr(r.label)] + [str(v) for v in r.frames.ravel()]) for r in records
+        ])
+        config = tmp_path / "synth.cfg"
+        config.write_text("count=4\nt=2\nc=1\nh=4\nw=4\nnoise=0.1\na=1\nb=1\nseed=3\n")
+        out, curve = tmp_path / "out" / "target", tmp_path / "out" / "curve.csv"
+        out.parent.mkdir()
+        if old:
+            out.write_bytes(b"old bytes")
+            curve.write_bytes(b"old curve")
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        paths = dict(text=text, config=config, data=data, out=out, curve=curve)
+        assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert sorted(p.name for p in out.parent.iterdir()) == (
+            ["curve.csv", "target"] if old else []
+        )
+        if old:
+            assert (out.read_bytes(), curve.read_bytes()) == (b"old bytes", b"old curve")
 
 
 class TestFlagMapping:

@@ -20,6 +20,7 @@ from deeprain.model import (
     param_shapes,
     predict,
     preprocess,
+    record_bytes,
 )
 from deeprain.train import (
     DivergenceError,
@@ -248,6 +249,37 @@ class TestStreamedBatch:
             assert g.tobytes() == want_grads[name].tobytes(), name
         if spec.kind == "linear":
             assert np.signbit(grads["linear.weight"][grads["linear.weight"] == 0]).any()
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS[1:], ids=lambda s: s.kind)
+    def test_chunks_equal_one_tape_batch_bitwise(self, spec, monkeypatch):
+        # A budget of three records' arrays splits a batch of 7 into tapes
+        # of 3, 3 and 1; each chunk's sums continue the last chunk's.
+        monkeypatch.setattr(sys.modules["deeprain.train"], "CHUNK_BYTES", 3 * record_bytes(spec) + 7)
+        backward = Tape.backward
+        chunks = []
+        monkeypatch.setattr(Tape, "backward", lambda tape: chunks.append(tape) or backward(tape))
+        records = synth_generate(SynthConfig(count=7, t=3, c=2, h=6, w=6, noise=0.1, seed=11))
+        inputs = [preprocess(r.frames, spec) for r in records]
+        labels = [r.label for r in records]
+        model = init_params(spec, 6)
+        preds, loss, grads = minibatch_gradient(model, iter(inputs), labels)
+        assert len(chunks) == 3
+        want_preds, want_loss, want_grads = one_tape_gradient(model, inputs, labels)
+        assert preds == want_preds
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert list(grads) == list(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda s: s.kind)
+    def test_inputs_and_labels_of_unequal_length_rejected(self, spec):
+        records = synth_generate(SynthConfig(count=4, t=3, c=2, h=6, w=6, noise=0.1, seed=12))
+        inputs = [preprocess(r.frames, spec) for r in records]
+        labels = [r.label for r in records]
+        model = init_params(spec, 7)
+        for xs, ys in ((inputs, labels[:3]), (inputs[:3], labels), (iter(inputs), labels[:1])):
+            with pytest.raises(ValueError, match="length mismatch"):
+                minibatch_gradient(model, xs, ys)
 
     def test_overflowing_loss_is_inf(self):
         # two predictions of 1e154: each squared error, 1e308, is finite
