@@ -229,6 +229,12 @@ class Tape:
         the records: a record's term is its gradient summed over the steps
         in ascending order, and ``backward`` adds the terms in record order,
         one record at a time.
+
+        The node keeps the gate values and the h and c states of every
+        step, and recomputes tanh(c) backward. Until ``backward`` takes the
+        weight gradients, an FC-LSTM layer keeps each step's gate gradients,
+        and a ConvLSTM layer each step's weight terms: at the paper's 26x26
+        maps these are a fifth of the gate gradients or less.
         """
         xv, w_in, w_rec = x.value, wx.value, wh.value
         k, steps = xv.shape[:2]
@@ -242,8 +248,10 @@ class Tape:
             )
         # project maps a step's inputs [k,C,(H,W)] to gate preactivations
         # [k,4h,(H,W)] and back maps gate gradients to input gradients;
-        # terms gives one record's weight gradient at each step, in order
-        if w_in.ndim == 4:
+        # term(j, g, t, r) is record r's step-t gradient of wx (j = 0), wh
+        # (1) or b (2) from its gate gradient g
+        conv = w_in.ndim == 4
+        if conv:
             kh, kw = w_in.shape[2:]
             h, w = spatial
             mx, mh, bias = w_in.reshape(rows, -1), w_rec.reshape(rows, -1), b.value[:, None, None]
@@ -257,12 +265,11 @@ class Tape:
                 d = np.matmul(m.T, gp.reshape(k, rows, h * w))
                 return T._col2im(d.reshape(-1, h * w), k * c, kh, kw, h, w).reshape((k, c) + spatial)
 
-            def terms(gp, inp):
-                for g, v in zip(gp, inp):
-                    yield (g.reshape(rows, h * w) @ T._im2col(v, kh, kw).T).reshape(rows, -1, kh, kw)
-
-            def bias_terms(gp):
-                return gp.sum(axis=(2, 3))
+            def term(j, g, t, r):
+                if j == 2:
+                    return g.sum(axis=(1, 2))
+                v = xv[r, t] if j == 0 else hs[t][r]
+                return (g.reshape(rows, h * w) @ T._im2col(v, kh, kw).T).reshape(rows, -1, kh, kw)
         else:
             mx, mh, bias = w_in, w_rec, b.value
 
@@ -272,15 +279,14 @@ class Tape:
             def back(m, gp):
                 return np.matmul(m.T, gp[..., None])[..., 0]
 
-            def terms(gp, inp):  # np.outer at every step
-                return gp[:, :, None] * np.asarray(inp)[:, None, :]
+            def term(j, g, t, r):  # np.outer for the weights
+                if j == 2:
+                    return g
+                return g[:, None] * (xv[r, t] if j == 0 else hs[t][r])[None, :]
 
-            def bias_terms(gp):
-                return gp
-
-        # per step: the sigmoid gates i, f, o, the tanh gate g and tanh(c);
-        # h and c also keep their zero start, so step t reads h[t], c[t]
-        sig, gs, tanh_c = [], [], []
+        # per step: the sigmoid gates i, f, o and the tanh gate g; h and c
+        # also keep their zero start, so step t reads h[t] and c[t]
+        sig, gs = [], []
         hs = [np.zeros((k, hidden) + spatial)]
         cs = [hs[0]]
         for t in range(steps):
@@ -289,12 +295,16 @@ class Tape:
             gs.append(T.map_tanh(np.ascontiguousarray(pre[:, 3 * hidden :])))
             i, f, o = (sig[t][:, j * hidden : (j + 1) * hidden] for j in range(3))
             cs.append(f * cs[t] + i * gs[t])
-            tanh_c.append(T.map_tanh(cs[t + 1]))
-            hs.append(o * tanh_c[t])
+            hs.append(o * T.map_tanh(cs[t + 1]))
+        out = hs[steps]
+        if not last:
+            out = np.stack(hs[1:], axis=1)
+            hs[1:] = [out[:, t] for t in range(steps)]  # views, not copies
+        weights = (wx, wh, b)
 
         def vjp(g_out):
-            gpre = np.empty((k, steps, rows) + spatial)
             gx = np.empty_like(xv) if x.needs_grad else None
+            kept = [None] * steps
             g_rec = gc_next = None
             for t in reversed(range(steps)):
                 # h_t's consumers in creation order: the next step, then the
@@ -305,11 +315,11 @@ class Tape:
                 else:
                     gh = g_rec if last else g_rec + g_up
                 i, f, o = (sig[t][:, j * hidden : (j + 1) * hidden] for j in range(3))
-                g, tc = gs[t], tanh_c[t]
+                g, tc = gs[t], T.map_tanh(cs[t + 1])
                 gc = gh * o * (1.0 - tc * tc)
                 if gc_next is not None:
                     gc = gc + gc_next
-                gp = gpre[:, t]
+                gp = np.empty((k, rows) + spatial)
                 gp[:, :hidden] = gc * g * i * (1.0 - i)
                 gp[:, hidden : 2 * hidden] = gc * cs[t] * f * (1.0 - f)
                 gp[:, 2 * hidden : 3 * hidden] = gh * tc * o * (1.0 - o)
@@ -319,19 +329,20 @@ class Tape:
                     g_rec = back(mh, gp)
                 if gx is not None:
                     gx[:, t] = back(mx, gp)
+                # a ConvLSTM step's weight terms are computed now and kept
+                # instead of its gate gradients (see the docstring)
+                kept[t] = [
+                    [term(j, gp[r], t, r) if wt.needs_grad else None for j, wt in enumerate(weights)]
+                    for r in range(k)
+                ] if conv else gp
 
-            def records(record_terms):
+            def totals(j):
                 for r in range(k):
-                    yield functools.reduce(operator.add, record_terms(r))
+                    steps_r = (kp[r][j] if conv else term(j, kp[r], t, r) for t, kp in enumerate(kept))
+                    yield functools.reduce(operator.add, steps_r)
 
-            return (
-                gx,
-                records(lambda r: terms(gpre[r], xv[r])) if wx.needs_grad else None,
-                records(lambda r: terms(gpre[r], [h[r] for h in hs[:steps]])) if wh.needs_grad else None,
-                records(lambda r: bias_terms(gpre[r])) if b.needs_grad else None,
-            )
+            return (gx, *(totals(j) if wt.needs_grad else None for j, wt in enumerate(weights)))
 
-        out = hs[steps] if last else np.stack(hs[1:], axis=1)
         return self._record(out, (x, wx, wh, b), vjp)
 
     def index0(self, x: Node, i: int) -> Node:

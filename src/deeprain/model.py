@@ -324,11 +324,11 @@ def fuse(spec: ModelSpec, p: dict, stack) -> dict:
 
 def record_bytes(spec: ModelSpec) -> int:
     """Bytes one record adds to the arrays that an LSTM model's chunk
-    tape keeps: per layer and step, the layer's input, its h, c and tanh(c)
-    states and its four gate values."""
+    tape keeps: per layer and step, the layer's input, its h and c states
+    and its four gate values."""
     pixels = spec.pooled_h * spec.pooled_w if spec.kind == "conv-lstm" else 1
     inputs = spec.frame_dim + (spec.stacks - 1) * spec.hidden * pixels
-    return 8 * spec.in_t * (inputs + spec.stacks * 7 * spec.hidden * pixels)
+    return 8 * spec.in_t * (inputs + spec.stacks * 6 * spec.hidden * pixels)
 
 
 def predictions(tape: Tape, spec: ModelSpec, p: dict, xs: np.ndarray) -> list:

@@ -129,6 +129,27 @@ def rmse(predictions, truths) -> float:
     return math.sqrt(_mean([(p - t) * (p - t) for p, t in zip(preds, trues)], len(preds)))
 
 
+def _chunk_gradient(model: Model, xs: np.ndarray, labels: list[float], share, grads):
+    """Predictions, squared errors and gradient sums after one chunk of
+    records, stacked along axis 0 of ``xs``, on a tape that dies here. The
+    sums start at ``grads``, the sums after the previous chunk (or None)."""
+    tape = Tape()
+    p = fuse(model.spec, lift(tape, model).params, tape.concat0)
+    if grads is not None:
+        for name, total in fuse(model.spec, grads, np.concatenate).items():
+            tape.seed(p[name], total)
+    scale = tape.const(share)
+    preds, errors, loss = [], [], None
+    for pred, y in zip(predictions(tape, model.spec, p, xs), labels):
+        err = tape.squared_error(pred, tape.const(np.array([y])))
+        term = tape.mul(err, scale)
+        loss = term if loss is None else tape.add(loss, term)
+        preds.append(float(pred.value[0]))
+        errors.append(float(err.value[0]))
+    tape.forward()
+    return preds, errors, tape.backward()
+
+
 def minibatch_gradient(model: Model, inputs, labels: list[float]):
     """Predictions, mean squared-error loss and its gradient over a minibatch
     of preprocessed inputs, one per label. ``inputs`` may be any iterable;
@@ -158,21 +179,9 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
             read += 1
         if read < count:
             raise ValueError(f"minibatch_gradient: length mismatch: {lo + read} inputs vs {n} labels")
-        tape = Tape()
-        p = fuse(model.spec, lift(tape, model).params, tape.concat0)
-        if grads is not None:
-            for name, total in fuse(model.spec, grads, np.concatenate).items():
-                tape.seed(p[name], total)
-        scale = tape.const(share)
-        loss = None
-        for pred, y in zip(predictions(tape, model.spec, p, xs), labels[lo:]):
-            err = tape.squared_error(pred, tape.const(np.array([y])))
-            term = tape.mul(err, scale)
-            loss = term if loss is None else tape.add(loss, term)
-            preds.append(float(pred.value[0]))
-            errors.append(float(err.value[0]))
-        tape.forward()
-        grads = tape.backward()
+        chunk_preds, chunk_errors, grads = _chunk_gradient(model, xs, labels[lo : lo + count], share, grads)
+        preds += chunk_preds
+        errors += chunk_errors
     extra = sum(1 for _ in reader)
     if extra:
         raise ValueError(f"minibatch_gradient: length mismatch: {n + extra} inputs vs {n} labels")
