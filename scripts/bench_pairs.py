@@ -18,13 +18,16 @@ so that count is part of ``peak_rss_mb``. That metric also gets a
 ``by_rounds`` table: per measured round count, each side's median and
 number of runs, so memory can be compared at equal counts. Before the
 pairs, one round per workload is trained in each checkout at seed SEED and
-the parameter digests (``workloads.digest``) are compared. The output is
-rewritten after every pair.
+the parameter digests (``workloads.digest``) are compared. Each side's
+``src/deeprain/*.py`` line counts, per file and in total as ``wc -l``
+counts them, are recorded too, so a change's deleted lines can be read next
+to its speed. The output is rewritten after every pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -96,6 +99,16 @@ def digest(root: str, workload: str, seed: int) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+def src_lines(root: str) -> dict:
+    """Newline count of each ``src/deeprain/*.py`` file, and their total."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "deeprain", "*.py"))):
+        with open(path, "rb") as fh:
+            counts[os.path.basename(path)] = fh.read().count(b"\n")
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def spread(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
@@ -163,6 +176,7 @@ def main(argv=None) -> int:
         },
         "blas_threads": None,
         "seeds": [args.seed + k for k in range(args.pairs)],
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "digests": {},
         "workloads": {},
     }

@@ -77,26 +77,16 @@ class Tape:
     # -- primitives ------------------------------------------------------
 
     def conv2d(self, x: Node, kernels: Node, bias: Node | None = None) -> Node:
-        """Same-padded convolution of a [C,H,W] node (see ``tensor.conv2d``).
-
-        The VJP rebuilds the im2col columns from ``x.value`` when the kernel
-        gradient needs them, so the tape keeps no column matrix.
-        """
+        """Same-padded convolution of a [C,H,W] node (see ``tensor.conv2d``)."""
         out = T.conv2d(x.value, kernels.value, None if bias is None else bias.value)
-        c, h, w = x.value.shape
-        o, _, kh, kw = kernels.value.shape
-        kmat = kernels.value.reshape(o, c * kh * kw)
 
         def vjp(g):
-            gm = g.reshape(o, h * w)
-            gx = gk = gb = None
-            if x.needs_grad:
-                gx = T._col2im(kmat.T @ gm, c, kh, kw, h, w)
-            if kernels.needs_grad:
-                gk = (gm @ T._im2col(x.value, kh, kw).T).reshape(o, c, kh, kw)
-            if bias is not None and bias.needs_grad:
-                gb = g.sum(axis=(1, 2))
-            return (gx, gk) if bias is None else (gx, gk, gb)
+            gx = T.conv2d_input_grad(g, kernels.value) if x.needs_grad else None
+            extents = kernels.value.shape[2:]
+            gk = T.conv2d_kernel_grad(g, x.value, *extents) if kernels.needs_grad else None
+            if bias is None:
+                return gx, gk
+            return gx, gk, (g.sum(axis=(-2, -1)) if bias.needs_grad else None)
 
         parents = (x, kernels) if bias is None else (x, kernels, bias)
         return self._record(out, parents, vjp)
@@ -105,8 +95,8 @@ class Tape:
         out = T.affine(x.value, weight.value, None if bias is None else bias.value)
 
         def vjp(g):
-            gx = weight.value.T @ g if x.needs_grad else None
-            gw = np.outer(g, x.value) if weight.needs_grad else None
+            gx = T.affine_input_grad(g, weight.value) if x.needs_grad else None
+            gw = T.affine_weight_grad(g, x.value) if weight.needs_grad else None
             if bias is None:
                 return gx, gw
             return gx, gw, (g if bias.needs_grad else None)
@@ -167,44 +157,27 @@ class Tape:
         """One LSTM state update from the stacked gate preactivations.
 
         ``pre`` stacks the i, f, o and g preactivations along axis 0, each
-        shaped like ``c_prev``, so it has four times ``c_prev``'s rows. Records
-        c_t = f*c_prev + i*g and then h_t = o*tanh(c_t), with i, f, o
-        sigmoids and g a tanh (Shi et al., arXiv 1506.04214, eq. 3), and
-        returns (c_t, h_t).
-
-        The VJPs evaluate the same products in the same order as the unfused
-        slice0/sigmoid/tanh/mul/add composition, so gradients match it bit
-        for bit. h_t's VJP leaves the o-gate gradient for c_t's VJP,
-        which always runs after it and writes all four gates' gradients into
-        one array.
+        shaped like ``c_prev``. Records c_t = f*c_prev + i*g and then
+        h_t = o*tanh(c_t) (``tensor._lstm_step``), and returns (c_t, h_t).
+        The VJPs evaluate the products of the unfused slice0/sigmoid/tanh/
+        mul/add composition in its order, so gradients have its bits; c_t's
+        VJP, which always runs after h_t's, writes all four gates' gradients.
         """
         hidden = c_prev.value.shape[0]
-        if pre.value.shape[0] != 4 * hidden:
-            raise T.ShapeError(
-                f"lstm_cell: gates: expected {4 * hidden} rows, got {pre.value.shape[0]}"
-            )
-        gates = T.map_sigmoid(pre.value[: 3 * hidden])
-        i, f, o = gates[:hidden], gates[hidden : 2 * hidden], gates[2 * hidden :]
-        g = T.map_tanh(pre.value[3 * hidden :])
-        c_out = T.add(T.hadamard(f, c_prev.value), T.hadamard(i, g))
-        tanh_c = T.map_tanh(c_out)
-        h_out = T.hadamard(o, tanh_c)
+        if pre.value.shape != (4 * hidden,) + c_prev.value.shape[1:]:
+            raise T.ShapeError(f"lstm_cell: gates: expected {4 * hidden} rows shaped like "
+                               f"c_prev {c_prev.value.shape}, got {pre.value.shape}")
+        gates, c_out, h_out = T._lstm_step(pre.value, c_prev.value, 0)
         o_grad = [0.0]  # h_t's VJP sets it; c_t's VJP takes it and resets it
 
         def c_vjp(gc):
             go, o_grad[0] = o_grad[0], 0.0
-            gpre = None
-            if pre.needs_grad:
-                gpre = np.empty_like(pre.value)
-                gpre[:hidden] = gc * g * i * (1.0 - i)
-                gpre[hidden : 2 * hidden] = gc * c_prev.value * f * (1.0 - f)
-                gpre[2 * hidden : 3 * hidden] = go
-                gpre[3 * hidden :] = gc * i * (1.0 - g * g)
-            return gpre, (gc * f if c_prev.needs_grad else None)
+            gpre, gc_prev = T._lstm_pre_grad(gc, go, gates, c_prev.value, 0)
+            return gpre, (gc_prev if c_prev.needs_grad else None)
 
         def h_vjp(gh):
-            o_grad[0] = gh * tanh_c * o * (1.0 - o)
-            return (gh * o * (1.0 - tanh_c * tanh_c),)
+            o_grad[0], gc = T._lstm_h_grad(gh, gates[2], c_out)
+            return (gc,)
 
         c_t = self._record(c_out, (pre, c_prev), c_vjp)
         h_t = self._record(h_out, (c_t,), h_vjp)
@@ -213,94 +186,52 @@ class Tape:
     def lstm_layer(self, x: Node, wx: Node, wh: Node, b: Node, last: bool = False) -> Node:
         """Every step of one LSTM layer over a chunk of records, as one node.
 
-        ``x`` is the layer input [k,T,...]: k records of T steps, each a
-        [C,H,W] map for a ConvLSTM layer or a [D] vector for an FC-LSTM
-        layer; the rank of ``wx`` tells them apart, as in ``lstm_cell_step``.
-        ``wx``, ``wh`` and ``b`` stack the i, f, o and g gates' input
-        weights, recurrent weights and biases along axis 0. The states start
-        at zero. The value is every step's hidden state [k,T,hidden,...], or
-        with ``last`` only the final one [k,hidden,...].
+        ``x`` is the layer input [k,T,...]: k records of T steps of [C,H,W]
+        maps (ConvLSTM, ``wx`` of rank 4) or [D] vectors (FC-LSTM). ``wx``,
+        ``wh`` and ``b`` stack the i, f, o and g gates along axis 0. The
+        states start at zero. The value is every step's hidden state
+        [k,T,hidden,...], or with ``last`` the final one.
 
-        Per record and step this computes what conv2d (or affine), add and
-        lstm_cell compute, in the same order and on GEMMs of the same
-        shapes (stacked ``np.matmul``), so values and gradients have their
-        bits. The VJP is backpropagation through time. It returns the input
-        gradient as one array and each weight's gradient as an iterator over
-        the records: a record's term is its gradient summed over the steps
-        in ascending order, and ``backward`` adds the terms in record order,
-        one record at a time.
+        A step runs conv2d's (or affine's), add's and lstm_cell's tensor
+        functions with the records on a leading axis, each on a GEMM of its
+        own shape, so the bits are those ops'. The VJP is backpropagation
+        through time; per weight it yields, record by record, the gradient
+        summed over the steps in ascending order.
 
-        The node keeps the gate values and the h and c states of every
-        step, and recomputes tanh(c) backward. Until ``backward`` takes the
-        weight gradients, an FC-LSTM layer keeps each step's gate gradients,
-        and a ConvLSTM layer each step's weight terms: at the paper's 26x26
-        maps these are a fifth of the gate gradients or less.
+        The node keeps every step's gates, h and c (tanh(c) is recomputed).
+        Backward keeps FC-LSTM gate gradients, but ConvLSTM weight terms.
         """
         xv, w_in, w_rec = x.value, wx.value, wh.value
         k, steps = xv.shape[:2]
-        hidden = w_rec.shape[1]
-        rows = 4 * hidden
-        spatial = xv.shape[3:]
-        if w_in.shape[0] != rows or w_in.shape[1] != xv.shape[2] or b.value.shape != (rows,):
-            raise T.ShapeError(
-                f"lstm_layer: gates: input {xv.shape}, weights {w_in.shape} and "
-                f"{w_rec.shape}, bias {b.value.shape}"
-            )
-        # project maps a step's inputs [k,C,(H,W)] to gate preactivations
-        # [k,4h,(H,W)] and back maps gate gradients to input gradients;
-        # term(j, g, t, r) is record r's step-t gradient of wx (j = 0), wh
-        # (1) or b (2) from its gate gradient g
+        rows = 4 * w_rec.shape[1]
+        got = (w_in.shape[:2], w_rec.shape[0], b.value.shape, xv.ndim, w_rec.ndim)
+        if got != ((rows, xv.shape[2]), rows, (rows,), w_in.ndim + 1, w_in.ndim):
+            raise T.ShapeError(f"lstm_layer: gates: input {xv.shape}, weights {w_in.shape} "
+                               f"and {w_rec.shape}, bias {b.value.shape}")
         conv = w_in.ndim == 4
         if conv:
-            kh, kw = w_in.shape[2:]
-            h, w = spatial
-            mx, mh, bias = w_in.reshape(rows, -1), w_rec.reshape(rows, -1), b.value[:, None, None]
-
-            def project(m, inp):
-                cols = T._im2col(inp.reshape(-1, h, w), kh, kw).reshape(k, -1, h * w)
-                return np.matmul(m, cols).reshape((k, rows) + spatial)
-
-            def back(m, gp):
-                c = m.shape[1] // (kh * kw)
-                d = np.matmul(m.T, gp.reshape(k, rows, h * w))
-                return T._col2im(d.reshape(-1, h * w), k * c, kh, kw, h, w).reshape((k, c) + spatial)
-
-            def term(j, g, t, r):
-                if j == 2:
-                    return g.sum(axis=(1, 2))
-                v = xv[r, t] if j == 0 else hs[t][r]
-                return (g.reshape(rows, h * w) @ T._im2col(v, kh, kw).T).reshape(rows, -1, kh, kw)
+            project, back, weight_grad = T.conv2d, T.conv2d_input_grad, T.conv2d_kernel_grad
         else:
-            mx, mh, bias = w_in, w_rec, b.value
-
-            def project(m, inp):
-                return np.matmul(m, inp[..., None])[..., 0]
-
-            def back(m, gp):
-                return np.matmul(m.T, gp[..., None])[..., 0]
-
-            def term(j, g, t, r):  # np.outer for the weights
-                if j == 2:
-                    return g
-                return g[:, None] * (xv[r, t] if j == 0 else hs[t][r])[None, :]
-
-        # per step: the sigmoid gates i, f, o and the tanh gate g; h and c
-        # also keep their zero start, so step t reads h[t] and c[t]
-        sig, gs = [], []
-        hs = [np.zeros((k, hidden) + spatial)]
+            project, back, weight_grad = T.affine, T.affine_input_grad, T.affine_weight_grad
+        # every step's gates; h and c keep their zero start, so step t reads h[t], c[t]
+        gates, hs = [], [np.zeros((k, w_rec.shape[1]) + xv.shape[3:])]
         cs = [hs[0]]
         for t in range(steps):
-            pre = (project(mx, xv[:, t]) + bias) + project(mh, hs[t])
-            sig.append(T.map_sigmoid(pre[:, : 3 * hidden]))
-            gs.append(T.map_tanh(np.ascontiguousarray(pre[:, 3 * hidden :])))
-            i, f, o = (sig[t][:, j * hidden : (j + 1) * hidden] for j in range(3))
-            cs.append(f * cs[t] + i * gs[t])
-            hs.append(o * T.map_tanh(cs[t + 1]))
+            pre = project(xv[:, t], w_in, b.value) + project(hs[t], w_rec)
+            step_gates, c, h = T._lstm_step(pre, cs[t], 1)
+            gates.append(step_gates)
+            cs.append(c)
+            hs.append(h)
         out = hs[steps]
         if not last:
             out = np.stack(hs[1:], axis=1)
             hs[1:] = [out[:, t] for t in range(steps)]  # views, not copies
         weights = (wx, wh, b)
+
+        def term(j, g, t, r):  # wx's (j = 0), wh's or b's step-t term for record(s) r
+            if j == 2:
+                return g.sum(axis=(-2, -1)) if conv else g
+            return weight_grad(g, xv[r, t] if j == 0 else hs[t][r], *weights[j].value.shape[2:])
 
         def vjp(g_out):
             gx = np.empty_like(xv) if x.needs_grad else None
@@ -309,36 +240,24 @@ class Tape:
             for t in reversed(range(steps)):
                 # h_t's consumers in creation order: the next step, then the
                 # layer above (or, for the last step, whatever reads it)
-                g_up = g_out if last else g_out[:, t]
-                if g_rec is None:
-                    gh = g_up
-                else:
-                    gh = g_rec if last else g_rec + g_up
-                i, f, o = (sig[t][:, j * hidden : (j + 1) * hidden] for j in range(3))
-                g, tc = gs[t], T.map_tanh(cs[t + 1])
-                gc = gh * o * (1.0 - tc * tc)
+                gh = g_out if last else g_out[:, t]
+                if g_rec is not None:
+                    gh = g_rec if last else g_rec + gh
+                go, gc = T._lstm_h_grad(gh, gates[t][2], cs[t + 1])
                 if gc_next is not None:
                     gc = gc + gc_next
-                gp = np.empty((k, rows) + spatial)
-                gp[:, :hidden] = gc * g * i * (1.0 - i)
-                gp[:, hidden : 2 * hidden] = gc * cs[t] * f * (1.0 - f)
-                gp[:, 2 * hidden : 3 * hidden] = gh * tc * o * (1.0 - o)
-                gp[:, 3 * hidden :] = gc * i * (1.0 - g * g)
+                gp, gc_next = T._lstm_pre_grad(gc, go, gates[t], cs[t], 1)
                 if t:
-                    gc_next = gc * f
-                    g_rec = back(mh, gp)
+                    g_rec = back(gp, w_rec)
                 if gx is not None:
-                    gx[:, t] = back(mx, gp)
-                # a ConvLSTM step's weight terms are computed now and kept
-                # instead of its gate gradients (see the docstring)
-                kept[t] = [
-                    [term(j, gp[r], t, r) if wt.needs_grad else None for j, wt in enumerate(weights)]
-                    for r in range(k)
-                ] if conv else gp
+                    gx[:, t] = back(gp, w_in)
+                # a ConvLSTM step's weight terms replace its gate gradients now
+                kept[t] = gp if not conv else [
+                    term(j, gp, t, slice(None)) if w.needs_grad else None for j, w in enumerate(weights)]
 
             def totals(j):
                 for r in range(k):
-                    steps_r = (kp[r][j] if conv else term(j, kp[r], t, r) for t, kp in enumerate(kept))
+                    steps_r = (kp[j][r] if conv else term(j, kp[r], t, r) for t, kp in enumerate(kept))
                     yield functools.reduce(operator.add, steps_r)
 
             return (gx, *(totals(j) if wt.needs_grad else None for j, wt in enumerate(weights)))

@@ -196,10 +196,12 @@ def require_writable(path: str) -> None:
 
 
 def atomic_write(path: str, write) -> None:
-    """Call ``write(fh)`` on a new temporary file next to ``path``, fsync it
-    and rename it over ``path``; on any failure the temporary file is removed
-    and ``path`` is left as it was. The temporary file's name is unique, and
-    it is created exclusively with the mode that ``open(path, "wb")`` gives."""
+    """Call ``write(fh)`` on a new temporary file next to ``path``, fsync it,
+    rename it over ``path`` and fsync the directory, so that the rename, too,
+    survives a crash (Pillai et al., OSDI 2014). If anything before the
+    rename fails, the temporary file is removed and ``path`` is left as it
+    was. The temporary file's name is unique, and it is created exclusively
+    with the mode that ``open(path, "wb")`` gives."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     # outside the try: a name that already exists is not ours to remove
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -212,6 +214,11 @@ def atomic_write(path: str, write) -> None:
     except BaseException:
         os.remove(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class BoundedReader:

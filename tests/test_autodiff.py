@@ -254,6 +254,13 @@ def _primitive_cases(rng):
         {"pre": rng.normal(0, 1, 12), "c": rng.normal(0, 1, 3)},
         lambda tp, p: tp.concat0(list(tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"])))),
     )
+    # Only c_t reaches the loss: h_t's VJP never runs and the o gate's
+    # gradient stays 0.0. It reuses the maps case's inputs, so the cases
+    # above keep their inputs and targets.
+    cases["lstm_cell_c_only"] = (
+        cases["lstm_cell_maps"][0],
+        lambda tp, p: tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"]))[0],
+    )
     return cases
 
 
@@ -483,6 +490,20 @@ def test_conv2d_matches_loop_im2col_bitwise(c, o, kh, kw, h, w, grad):
     for name, a, e in zip(("value", "gx", "gk", "gb"), got, want):
         assert a.shape == e.shape, name
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(e).tobytes(), name
+    # three maps on a leading axis: each has the bytes of its own call
+    xs = np.stack([x, rng.normal(0, 1, x.shape), -x])
+    gs = np.stack([g, rng.normal(0, 1, g.shape), g[::-1]])
+    stacked = (
+        T.conv2d(xs, k, b), T.conv2d_input_grad(gs, k), T.conv2d_kernel_grad(gs, xs, kh, kw)
+    )
+    for r in range(3):
+        single = (
+            T.conv2d(xs[r], k, b), T.conv2d_input_grad(gs[r], k),
+            T.conv2d_kernel_grad(gs[r], xs[r], kh, kw),
+        )
+        for name, a, e in zip(("value", "gx", "gk"), stacked, single):
+            assert a[r].shape == e.shape, name
+            assert np.ascontiguousarray(a[r]).tobytes() == np.ascontiguousarray(e).tobytes(), name
 
 
 @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (5, 3)])
@@ -502,6 +523,13 @@ def test_col2im_sums_from_positive_zero_in_offset_order(kh, kw):
     want = dpad[:, ph : ph + h, pw : pw + w]
     got = T._col2im(dcols.reshape(c * kh * kw, h * w), c, kh, kw, h, w)
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    # three maps on a leading axis: each has the bytes of its own call
+    stack = np.stack([dcols, -dcols, rng.normal(0, 1, dcols.shape)]).reshape(3, c * kh * kw, h * w)
+    got = T._col2im(stack, c, kh, kw, h, w)
+    assert got.shape == (3, c, h, w)
+    for r in range(3):
+        want = T._col2im(stack[r], c, kh, kw, h, w)
+        assert np.ascontiguousarray(got[r]).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def _layer_case(rng, conv, k=3, steps=3, hidden=2, channels=2):
@@ -610,6 +638,21 @@ def test_lstm_layer_rejects_mismatched_gates():
     with pytest.raises(ShapeError, match="lstm_layer"):
         tape.lstm_layer(x, tape.const(np.zeros((8, 4))), tape.const(np.zeros((8, 2))),
                         tape.const(np.zeros(8)))
+    # hidden 2, so 8 gate rows: input, input weights, recurrent weights and
+    # the error each case must raise
+    fc, maps = np.zeros((1, 2, 3)), np.zeros((1, 2, 1, 4, 4))
+    cases = [
+        (fc, (8, 3), (12, 2), "lstm_layer"),  # 12 recurrent rows
+        (maps, (8, 1, 3, 3), (12, 2, 3, 3), "lstm_layer"),
+        (maps, (8, 1, 2, 2), (8, 2, 2, 2), "kernel extent"),  # not same-padded
+        (maps, (8, 1, 3, 3), (8, 2), "lstm_layer"),  # wh's rank is not wx's
+        (fc, (8, 3), (8, 2, 3, 3), "lstm_layer"),
+        (maps, (8, 1), (8, 2), "lstm_layer"),  # FC weights on maps
+    ]
+    for xv, wx, wh, match in cases:
+        with pytest.raises(ShapeError, match=match):
+            tape.lstm_layer(tape.const(xv), tape.const(np.zeros(wx)), tape.const(np.zeros(wh)),
+                            tape.const(np.zeros(8)))
 
 
 def test_index0_gradients_sum_into_their_items_exactly():

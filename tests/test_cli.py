@@ -1,5 +1,6 @@
 import errno
 import os
+import stat
 import struct
 
 import pytest
@@ -260,9 +261,7 @@ class TestFailedRename:
                   "--ckpt", "{out}", "--curve", "{curve}"],
     }
 
-    @pytest.mark.parametrize("old", [False, True], ids=["new target", "old target"])
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_exits_2_and_leaves_the_target_as_it_was(self, command, old, tmp_path, monkeypatch, capsys):
+    def paths(self, tmp_path):
         data, records = make_binary(tmp_path, count=12)
         text = tmp_path / "data.txt"
         write_text_dataset(text, [
@@ -272,6 +271,13 @@ class TestFailedRename:
         config.write_text("count=4\nt=2\nc=1\nh=4\nw=4\nnoise=0.1\na=1\nb=1\nseed=3\n")
         out, curve = tmp_path / "out" / "target", tmp_path / "out" / "curve.csv"
         out.parent.mkdir()
+        return dict(text=text, config=config, data=data, out=out, curve=curve)
+
+    @pytest.mark.parametrize("old", [False, True], ids=["new target", "old target"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2_and_leaves_the_target_as_it_was(self, command, old, tmp_path, monkeypatch, capsys):
+        paths = self.paths(tmp_path)
+        out, curve = paths["out"], paths["curve"]
         if old:
             out.write_bytes(b"old bytes")
             curve.write_bytes(b"old curve")
@@ -280,7 +286,6 @@ class TestFailedRename:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
 
         monkeypatch.setattr(os, "replace", full_disk)
-        paths = dict(text=text, config=config, data=data, out=out, curve=curve)
         assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert sorted(p.name for p in out.parent.iterdir()) == (
@@ -288,6 +293,25 @@ class TestFailedRename:
         )
         if old:
             assert (out.read_bytes(), curve.read_bytes()) == (b"old bytes", b"old curve")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_directory_sync_exits_2_and_leaves_no_temporary_file(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # the rename has happened, so the target is there; train stops at
+        # its first output, the checkpoint
+        paths = self.paths(tmp_path)
+        real_fsync = os.fsync
+
+        def failing_on_directories(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_on_directories)
+        assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
+        assert os.strerror(errno.EIO) in capsys.readouterr().err
+        assert sorted(p.name for p in paths["out"].parent.iterdir()) == ["target"]
 
 
 class TestFlagMapping:

@@ -308,7 +308,8 @@ class TestAtomicWrite:
         for name in ("fsync", "replace"):
             monkeypatch.setattr(os, name, recorded(name))
         WRITERS[kind](str(tmp_path / "out"))
-        assert calls == ["fsync", "replace"]
+        # the file's data, the rename, then the directory entry
+        assert calls == ["fsync", "replace", "fsync"]
 
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     def test_output_mode_is_that_of_a_plain_open(self, kind, tmp_path):

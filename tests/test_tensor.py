@@ -8,6 +8,8 @@ from deeprain.tensor import (
     ShapeError,
     add,
     affine,
+    affine_input_grad,
+    affine_weight_grad,
     avg_pool2d,
     conv2d,
     global_avg_pool,
@@ -102,6 +104,25 @@ class TestAffine:
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError, match="inner extent"):
             affine(arr([1, 2, 3]), np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ShapeError, match="inner extent"):
+            affine(np.array(1.0), np.zeros((1, 1)))  # rank 0 has no extent
+
+    @pytest.mark.parametrize("m, n", [(1, 8), (32, 128), (5, 3)])
+    def test_stacked_vectors_have_the_bytes_of_their_own_calls(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        w, b = rng.normal(0, 1, (m, n)), rng.normal(0, 1, m)
+        xs, gs = rng.normal(0, 1, (3, n)), rng.normal(0, 1, (3, m))
+        xs[1] = -xs[0]
+        stacked = (affine(xs, w, b), affine(xs, w), affine_input_grad(gs, w),
+                   affine_weight_grad(gs, xs))
+        for r in range(3):
+            single = (affine(xs[r], w, b), affine(xs[r], w), affine_input_grad(gs[r], w),
+                      affine_weight_grad(gs[r], xs[r]))
+            for a, e in zip(stacked, single):
+                assert a[r].shape == e.shape
+                assert np.ascontiguousarray(a[r]).tobytes() == e.tobytes()
+        assert affine_weight_grad(gs[0], xs[0]).tobytes() == np.outer(gs[0], xs[0]).tobytes()
+        assert affine_input_grad(gs[0], w).tobytes() == (w.T @ gs[0]).tobytes()
 
 
 class TestElementwise:
