@@ -199,7 +199,7 @@ class Tape:
         summed over the steps in ascending order.
 
         The node keeps every step's gates, h and c (tanh(c) is recomputed).
-        Backward keeps FC-LSTM gate gradients, but ConvLSTM weight terms.
+        Backward keeps the smaller: FC-LSTM gate gradients, ConvLSTM weight terms.
         """
         xv, w_in, w_rec = x.value, wx.value, wh.value
         k, steps = xv.shape[:2]
