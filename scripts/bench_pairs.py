@@ -18,7 +18,9 @@ so that count is part of ``peak_rss_mb``. That metric also gets a
 ``by_rounds`` table: per measured round count, each side's median and
 number of runs, so memory can be compared at equal counts. Before the
 pairs, one round per workload is trained in each checkout at seed SEED and
-the parameter digests (``workloads.digest``) are compared. Each side's
+the parameter digests (``workloads.digest``) are compared; the same probe
+first trains one batch (``workloads.warm_up``) and records the tape nodes
+it builds, summed over its tapes at each ``Tape.backward``. Each side's
 ``src/deeprain/*.py`` line counts, per file and in total as ``wc -l``
 counts them, are recorded too, so a change's deleted lines can be read next
 to its speed. The output is rewritten after every pair.
@@ -38,17 +40,23 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# One round per workload at a seed; run with perfbench/ as the working
-# directory of the checkout under test, so ``run`` resolves that checkout.
+# One training batch, then one round, per workload at a seed: the batch's
+# tape nodes and tapes, then the round's digest. Run with perfbench/ as the
+# working directory of the checkout under test, so ``run`` resolves it.
 DIGEST_PROBE = """
 import os, sys
 import run
 run.pin_blas_threads()
 run.import_program()
 import workloads
+from deeprain.autodiff import Tape
 wl = workloads.workloads(run.ROOT)[sys.argv[1]]
 inputs = workloads.setup(wl, int(sys.argv[2]), run.WORKDIR)
+nodes, backward = [], Tape.backward
+Tape.backward = lambda tape: nodes.append(len(tape.nodes)) or backward(tape)
 try:
+    workloads.warm_up(wl, inputs)
+    print(sum(nodes), len(nodes))
     print(workloads.digest(workloads.run_round(wl, inputs).model))
 finally:
     if inputs.path:
@@ -92,11 +100,14 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def digest(root: str, workload: str, seed: int) -> str:
+def probe(root: str, workload: str, seed: int) -> tuple[str, dict]:
+    """The round's parameter digest, and one training batch's tape nodes."""
     proc = subprocess.run([sys.executable, "-c", DIGEST_PROBE, workload, str(seed)],
                           cwd=os.path.join(root, "perfbench"), capture_output=True, text=True,
                           check=True)
-    return proc.stdout.strip().splitlines()[-1]
+    *_, batch, digest = proc.stdout.strip().splitlines()
+    nodes, tapes = map(int, batch.split())
+    return digest, {"nodes": nodes, "tapes": tapes}
 
 
 def src_lines(root: str) -> dict:
@@ -178,6 +189,7 @@ def main(argv=None) -> int:
         "seeds": [args.seed + k for k in range(args.pairs)],
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "digests": {},
+        "batch_nodes": {},
         "workloads": {},
     }
     names = [w["name"] for w in spec["workloads"]]
@@ -188,9 +200,12 @@ def main(argv=None) -> int:
             fh.write("\n")
 
     for name in names:
-        pair = {side: digest(path, name, args.seed) for side, path in sides.items()}
+        probes = {side: probe(path, name, args.seed) for side, path in sides.items()}
+        pair = {side: digest for side, (digest, _) in probes.items()}
         report["digests"][name] = {"seed": args.seed, **pair, "equal": pair["parent"] == pair["change"]}
-        print(f"[pairs] {name} digest equal: {report['digests'][name]['equal']}", flush=True)
+        report["batch_nodes"][name] = {"seed": args.seed, **{s: n for s, (_, n) in probes.items()}}
+        print(f"[pairs] {name} digest equal: {report['digests'][name]['equal']}, "
+              f"batch nodes {report['batch_nodes'][name]}", flush=True)
     save()
     runs = {name: {"parent": [], "change": []} for name in names}
     for k in range(args.pairs):

@@ -97,9 +97,12 @@ class Tape:
         def vjp(g):
             gx = T.affine_input_grad(g, weight.value) if x.needs_grad else None
             gw = T.affine_weight_grad(g, x.value) if weight.needs_grad else None
-            if bias is None:
-                return gx, gw
-            return gx, gw, (g if bias.needs_grad else None)
+            gb = g if bias is not None and bias.needs_grad else None
+            if g.ndim > 1:  # leading axes: per-index terms, which backward adds in order
+                m, n = weight.value.shape
+                gw = None if gw is None else iter(gw.reshape(-1, m, n))
+                gb = None if gb is None else iter(gb.reshape(-1, m))
+            return (gx, gw) if bias is None else (gx, gw, gb)
 
         parents = (x, weight) if bias is None else (x, weight, bias)
         return self._record(out, parents, vjp)
@@ -279,10 +282,10 @@ class Tape:
 
     def global_avg_pool(self, x: Node) -> Node:
         out = T.global_avg_pool(x.value)
-        _, h, w = x.value.shape
+        h, w = x.value.shape[-2:]
 
         def vjp(g):
-            return (np.broadcast_to(g[:, None, None] / (h * w), x.value.shape),)
+            return (np.broadcast_to(g[..., None, None] / (h * w), x.value.shape),)
 
         return self._record(out, (x,), vjp)
 

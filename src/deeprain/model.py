@@ -331,32 +331,32 @@ def record_bytes(spec: ModelSpec) -> int:
     return 8 * spec.in_t * (inputs + spec.stacks * 6 * spec.hidden * pixels)
 
 
-def predictions(tape: Tape, spec: ModelSpec, p: dict, xs: np.ndarray) -> list:
-    """Scalar estimate nodes of a chunk of preprocessed records, stacked
-    along a leading axis in ``xs``.
+def predictions(tape: Tape, spec: ModelSpec, p: dict, xs: np.ndarray) -> Node:
+    """The [k,1] estimate node of a chunk of k preprocessed records,
+    stacked along a leading axis in ``xs``.
 
     ``p`` maps the parameter names, with each cell's gates fused (see
     ``fuse``), to nodes. The encoder is one ``lstm_layer`` node per cell
     for the whole chunk, layer l >= 1 consuming layer l-1's full hidden
-    sequence; each record then has its own head on the top layer's final
-    hidden state.
+    sequence; one head then maps the top layer's final hidden states.
     """
     if spec.kind == "linear":
-        return [tape.affine(tape.const(x), p["linear.weight"], p["linear.bias"]) for x in xs]
+        return tape.affine(tape.const(xs), p["linear.weight"], p["linear.bias"])
     top = tape.const(xs)
     for i in range(spec.stacks):
         cell = (p[f"cell{i}.{part}"] for part in FUSED)
         top = tape.lstm_layer(top, *cell, last=i == spec.stacks - 1)
-    head = p["head.weight"], p["head.bias"]
-    return [regression_head(tape, *head, tape.index0(top, r)) for r in range(len(xs))]
+    if spec.kind == "conv-lstm":
+        top = tape.global_avg_pool(top)
+    return tape.affine(top, p["head.weight"], p["head.bias"])
 
 
 def build_prediction(tape: Tape, lifted: Model, inputs) -> Node:
-    """Forward graph from one record's preprocessed inputs to the scalar
-    estimate node: ``predictions`` at k = 1, each cell's gates fused on the
-    tape."""
+    """Forward graph from one record's preprocessed inputs to the [1]
+    estimate node: ``predictions`` at k = 1, each cell's gates fused on
+    the tape."""
     p = fuse(lifted.spec, lifted.params, tape.concat0)
-    return predictions(tape, lifted.spec, p, np.asarray(inputs)[None])[0]
+    return tape.index0(predictions(tape, lifted.spec, p, np.asarray(inputs)[None]), 0)
 
 
 def predict(model: Model, record, clamp: bool = False) -> float:

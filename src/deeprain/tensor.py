@@ -189,10 +189,10 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool(t: np.ndarray) -> np.ndarray:
-    """[C,H,W] -> [C], per-channel spatial mean."""
-    if t.ndim != 3:
-        raise ShapeError(f"global_avg_pool: input: expected rank 3, got rank {t.ndim}")
-    return t.mean(axis=(1, 2))
+    """[...,C,H,W] -> [...,C], per-channel spatial mean of each map."""
+    if t.ndim < 3:
+        raise ShapeError(f"global_avg_pool: input: expected rank 3 or more, got rank {t.ndim}")
+    return t.mean(axis=(-2, -1))
 
 
 def avg_pool2d(t: np.ndarray, factor: int) -> np.ndarray:

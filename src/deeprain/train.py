@@ -130,25 +130,22 @@ def rmse(predictions, truths) -> float:
     return math.sqrt(_mean([(p - t) * (p - t) for p, t in zip(preds, trues)], len(preds)))
 
 
-def _chunk_gradient(model: Model, xs: np.ndarray, labels: list[float], share, grads):
-    """Predictions, squared errors and gradient sums after one chunk of
-    records, stacked along axis 0 of ``xs``, on a tape that dies here. The
-    sums start at ``grads``, the sums after the previous chunk (or None)."""
+def _chunk_gradient(model: Model, xs: np.ndarray, labels: list[float], n: int, grads):
+    """Predictions, squared errors and gradient sums after one chunk of a
+    batch of ``n``, stacked along axis 0 of ``xs``, on one graph that dies
+    here. The sums start at ``grads``, the previous chunk's (or None)."""
     tape = Tape()
     p = fuse(model.spec, lift(tape, model).params, tape.concat0)
     if grads is not None:
         for name, total in fuse(model.spec, grads, np.concatenate).items():
             tape.seed(p[name], total)
-    scale = tape.const(share)
-    preds, errors, loss = [], [], None
-    for pred, y in zip(predictions(tape, model.spec, p, xs), labels):
-        err = tape.squared_error(pred, tape.const(np.array([y])))
-        term = tape.mul(err, scale)
-        loss = term if loss is None else tape.add(loss, term)
-        preds.append(float(pred.value[0]))
-        errors.append(float(err.value[0]))
+    share = tape.const(np.array([1.0 / n]))
+    pred = predictions(tape, model.spec, p, xs)
+    truth = tape.const(np.array(labels)[:, None])
+    tape.mul(tape.squared_error(pred, truth), share)
     tape.forward()
-    return preds, errors, tape.backward()
+    d = pred.value[:, 0] - truth.value[:, 0]
+    return pred.value[:, 0].tolist(), (d * d).tolist(), tape.backward()
 
 
 def minibatch_gradient(model: Model, inputs, labels: list[float]):
@@ -165,11 +162,8 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
     n = len(labels)
     # a linear model has no layer node to share, so its chunks are records
     size = 1 if model.spec.kind == "linear" else max(1, CHUNK_BYTES // record_bytes(model.spec))
-    share = np.array([1.0 / n])
     reader = iter(inputs)
-    preds: list[float] = []
-    errors: list[float] = []
-    grads = None
+    preds, errors, grads = [], [], None
     for lo in range(0, n, size):
         count = min(size, n - lo)
         xs, read = None, 0
@@ -180,12 +174,14 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
             read += 1
         if read < count:
             raise ValueError(f"minibatch_gradient: length mismatch: {lo + read} inputs vs {n} labels")
-        chunk_preds, chunk_errors, grads = _chunk_gradient(model, xs, labels[lo : lo + count], share, grads)
+        chunk_preds, chunk_errors, grads = _chunk_gradient(model, xs, labels[lo : lo + count], n, grads)
         preds += chunk_preds
         errors += chunk_errors
     extra = sum(1 for _ in reader)
     if extra:
         raise ValueError(f"minibatch_gradient: length mismatch: {n + extra} inputs vs {n} labels")
+    if not n:
+        raise ValueError("minibatch_gradient: empty batch")
     return preds, _mean(errors, n), grads
 
 

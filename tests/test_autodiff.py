@@ -261,6 +261,15 @@ def _primitive_cases(rng):
         cases["lstm_cell_maps"][0],
         lambda tp, p: tp.lstm_cell(tp.param("pre", p["pre"]), tp.param("c", p["c"]))[0],
     )
+    # Leading axes: one node over a stack of rows, as training's head runs.
+    cases["affine_stacked"] = (
+        {"x": rng.normal(0, 1, (3, 4)), "w": rng.normal(0, 0.6, (2, 4)), "b": rng.normal(0, 0.5, 2)},
+        lambda tp, p: tp.affine(tp.param("x", p["x"]), tp.param("w", p["w"]), tp.param("b", p["b"])),
+    )
+    cases["global_avg_pool_stacked"] = (
+        {"x": rng.normal(0, 1, (2, 3, 4, 4))},
+        lambda tp, p: tp.global_avg_pool(tp.param("x", p["x"])),
+    )
     return cases
 
 
@@ -666,3 +675,40 @@ def test_index0_gradients_sum_into_their_items_exactly():
     tape.forward()
     grad = tape.backward()["x"]
     assert grad.tobytes() == np.array([[-0.0], [0.5]]).tobytes()
+
+
+def test_stacked_head_equals_one_node_per_row_bitwise():
+    # global_avg_pool and affine over three stacked maps, against each
+    # map's own index0 -> pool -> affine chain on one tape. Channel 0 is
+    # blank and every target exceeds its estimate, so each row's weight
+    # term in column 0 is -0.0, and so is their sum from the first row:
+    # a fold from +0.0, or gw.sum(axis=0), would give +0.0.
+    rng = np.random.default_rng(4)
+    maps = rng.normal(0, 1, (3, 4, 5, 5))
+    maps[:, 0] = 0.0
+    w, b = rng.normal(0, 1, (2, 4)), rng.normal(0, 1, 2)
+    targets = T.affine(T.global_avg_pool(maps), w, b) + rng.uniform(0.5, 1.0, (3, 2))
+
+    def run(stacked):
+        tape = Tape()
+        x, wn, bn = tape.param("x", maps), tape.param("w", w), tape.param("b", b)
+        if stacked:
+            pooled = [tape.global_avg_pool(x)]
+            outs = [tape.affine(pooled[0], wn, bn)]
+            tape.squared_error(outs[0], tape.const(targets))
+        else:
+            pooled = [tape.global_avg_pool(tape.index0(x, r)) for r in range(3)]
+            outs = [tape.affine(p, wn, bn) for p in pooled]
+            errors = [tape.squared_error(o, tape.const(t)) for o, t in zip(outs, targets)]
+            tape.add(tape.add(errors[0], errors[1]), errors[2])
+        tape.forward()
+        values = [np.stack([n.value for n in nodes]).reshape(3, -1) for nodes in (pooled, outs)]
+        return values, tape.backward()
+
+    (pooled, outs), grads = run(stacked=True)
+    (want_pooled, want_outs), want = run(stacked=False)
+    assert pooled.tobytes() == want_pooled.tobytes()
+    assert outs.tobytes() == want_outs.tobytes()
+    for name in ("x", "w", "b"):
+        assert grads[name].tobytes() == want[name].tobytes(), name
+    assert np.signbit(grads["w"][:, 0]).all()

@@ -1,10 +1,14 @@
 import errno
+import itertools
 import os
+import shutil
 import stat
 import struct
 
 import pytest
 
+import deeprain.cli as cli_module
+import deeprain.data as data_module
 from deeprain.cli import build_parser, main
 from deeprain.data import (
     DataFormatError,
@@ -251,32 +255,36 @@ class TestOutputPaths:
         assert not os.path.exists(tmp_path / "nodir")
 
 
+# Every writing command; its paths come from ``writing_paths``.
+WRITING_COMMANDS = {
+    "convert": ["convert", "--in", "{text}", "--out", "{out}", "--dims", "2,1,4,4"],
+    "synth": ["synth", "--config", "{config}", "--out", "{out}"],
+    "train": ["train", "--data", "{data}", "--model", "linear", "--epochs", "1",
+              "--ckpt", "{out}", "--curve", "{curve}"],
+}
+
+
+def writing_paths(tmp_path):
+    """Inputs for every writing command, and outputs in a directory of their own."""
+    data, records = make_binary(tmp_path, count=12)
+    text = tmp_path / "data.txt"
+    write_text_dataset(text, [
+        " ".join([repr(r.label)] + [str(v) for v in r.frames.ravel()]) for r in records
+    ])
+    config = tmp_path / "synth.cfg"
+    config.write_text("count=4\nt=2\nc=1\nh=4\nw=4\nnoise=0.1\na=1\nb=1\nseed=3\n")
+    out, curve = tmp_path / "out" / "target", tmp_path / "out" / "curve.csv"
+    out.parent.mkdir()
+    return dict(text=text, config=config, data=data, out=out, curve=curve)
+
+
 class TestFailedRename:
     """Every writing command, with ``os.replace`` failing as on a full disk."""
 
-    COMMANDS = {
-        "convert": ["convert", "--in", "{text}", "--out", "{out}", "--dims", "2,1,4,4"],
-        "synth": ["synth", "--config", "{config}", "--out", "{out}"],
-        "train": ["train", "--data", "{data}", "--model", "linear", "--epochs", "1",
-                  "--ckpt", "{out}", "--curve", "{curve}"],
-    }
-
-    def paths(self, tmp_path):
-        data, records = make_binary(tmp_path, count=12)
-        text = tmp_path / "data.txt"
-        write_text_dataset(text, [
-            " ".join([repr(r.label)] + [str(v) for v in r.frames.ravel()]) for r in records
-        ])
-        config = tmp_path / "synth.cfg"
-        config.write_text("count=4\nt=2\nc=1\nh=4\nw=4\nnoise=0.1\na=1\nb=1\nseed=3\n")
-        out, curve = tmp_path / "out" / "target", tmp_path / "out" / "curve.csv"
-        out.parent.mkdir()
-        return dict(text=text, config=config, data=data, out=out, curve=curve)
-
     @pytest.mark.parametrize("old", [False, True], ids=["new target", "old target"])
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
     def test_exits_2_and_leaves_the_target_as_it_was(self, command, old, tmp_path, monkeypatch, capsys):
-        paths = self.paths(tmp_path)
+        paths = writing_paths(tmp_path)
         out, curve = paths["out"], paths["curve"]
         if old:
             out.write_bytes(b"old bytes")
@@ -286,7 +294,7 @@ class TestFailedRename:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
 
         monkeypatch.setattr(os, "replace", full_disk)
-        assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
+        assert main([arg.format(**paths) for arg in WRITING_COMMANDS[command]]) == 2
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert sorted(p.name for p in out.parent.iterdir()) == (
             ["curve.csv", "target"] if old else []
@@ -294,13 +302,13 @@ class TestFailedRename:
         if old:
             assert (out.read_bytes(), curve.read_bytes()) == (b"old bytes", b"old curve")
 
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
     def test_failed_directory_sync_exits_2_and_leaves_no_temporary_file(
         self, command, tmp_path, monkeypatch, capsys
     ):
         # the rename has happened, so the target is there; train stops at
         # its first output, the checkpoint
-        paths = self.paths(tmp_path)
+        paths = writing_paths(tmp_path)
         real_fsync = os.fsync
 
         def failing_on_directories(fd):
@@ -309,9 +317,104 @@ class TestFailedRename:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", failing_on_directories)
-        assert main([arg.format(**paths) for arg in self.COMMANDS[command]]) == 2
+        assert main([arg.format(**paths) for arg in WRITING_COMMANDS[command]]) == 2
         assert os.strerror(errno.EIO) in capsys.readouterr().err
         assert sorted(p.name for p in paths["out"].parent.iterdir()) == ["target"]
+
+
+class CountedFile:
+    """A file opened for writing whose writes ``disk`` counts."""
+
+    def __init__(self, fh, disk):
+        self.fh, self.disk = fh, disk
+
+    def write(self, data):
+        self.disk.writes[-1] += 1
+        if sum(self.disk.writes) == self.disk.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class FullDisk:
+    """An ``open`` for ``deeprain.data`` that counts the writes to each file
+    opened for writing, and makes the ``fail_at``-th write of the whole
+    command raise ENOSPC (none when 0)."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.writes = []  # per file opened for writing, in open order
+
+    def open(self, file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        self.writes.append(0)
+        return CountedFile(fh, self)
+
+
+class TestFullDisk:
+    """Every writing command, through ``main``, with its k-th ``write``
+    raising ENOSPC, for every k."""
+
+    @pytest.mark.parametrize("old", [False, True], ids=["new target", "old target"])
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_exits_2_and_leaves_each_target_whole(self, command, old, tmp_path, monkeypatch, capsys):
+        paths = writing_paths(tmp_path)
+        argv = [arg.format(**paths) for arg in WRITING_COMMANDS[command]]
+        targets = [paths["out"], paths["curve"]][: 2 if command == "train" else 1]
+        olds = [b"old bytes", b"old curve"][: len(targets)] if old else [None] * len(targets)
+
+        def run(fail_at):
+            for target, before in zip(targets, olds):
+                if before is not None:
+                    target.write_bytes(before)
+                elif target.exists():
+                    target.unlink()
+            disk = FullDisk(fail_at)
+            with monkeypatch.context() as m:
+                m.setattr(data_module, "open", disk.open, raising=False)
+                code = main(argv)
+            return code, disk
+
+        code, counted = run(0)
+        assert code == 0 and len(counted.writes) == len(targets)
+        new = [target.read_bytes() for target in targets]
+        capsys.readouterr()
+        ends = list(itertools.accumulate(counted.writes))  # each file's last write
+        for k in range(1, ends[-1] + 1):
+            assert run(k)[0] == 2, k
+            assert os.strerror(errno.ENOSPC) in capsys.readouterr().err, k
+            # the outputs before the failing one are written, the rest as they were
+            failed = next(i for i, end in enumerate(ends) if k <= end)
+            want = new[:failed] + olds[failed:]
+            assert [t.read_bytes() if t.exists() else None for t in targets] == want, k
+            left = sorted(t.name for t, w in zip(targets, want) if w is not None)
+            assert sorted(p.name for p in paths["out"].parent.iterdir()) == left, k
+
+    def test_output_directory_removed_during_train_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the path check passed before training; the write finds no directory
+        paths = writing_paths(tmp_path)
+        inputs = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+        real_train = cli_module.train
+
+        def train_then_remove(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            shutil.rmtree(paths["out"].parent)
+            return result
+
+        monkeypatch.setattr(cli_module, "train", train_then_remove)
+        assert main([arg.format(**paths) for arg in WRITING_COMMANDS["train"]]) == 2
+        assert str(paths["out"]) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 class TestFlagMapping:

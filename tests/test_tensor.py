@@ -202,6 +202,13 @@ class TestPooling:
         x = np.stack([np.zeros((2, 2)), np.full((2, 2), 4.0)])
         assert np.array_equal(global_avg_pool(x), arr([0.0, 4.0]))
 
+    def test_global_avg_pool_stacked_maps_have_the_bytes_of_their_own_calls(self):
+        maps = np.random.default_rng(2).normal(0, 1, (3, 4, 5, 7))
+        got = global_avg_pool(maps)
+        assert got.shape == (3, 4)
+        for i in range(3):
+            assert got[i].tobytes() == global_avg_pool(maps[i]).tobytes(), i
+
     def test_factor_one_is_identity(self):
         x = np.random.default_rng(0).normal(0, 1, (2, 5, 4))
         assert np.array_equal(avg_pool2d(x, 1), x)

@@ -277,9 +277,30 @@ class TestStreamedBatch:
         inputs = [preprocess(r.frames, spec) for r in records]
         labels = [r.label for r in records]
         model = init_params(spec, 7)
-        for xs, ys in ((inputs, labels[:3]), (inputs[:3], labels), (iter(inputs), labels[:1])):
+        for xs, ys in ((inputs, labels[:3]), (inputs[:3], labels), (iter(inputs), labels[:1]),
+                       (inputs[:1], [])):
             with pytest.raises(ValueError, match="length mismatch"):
                 minibatch_gradient(model, xs, ys)
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda s: s.kind)
+    def test_empty_batch_rejected(self, spec):
+        with pytest.raises(ValueError, match="empty batch"):
+            minibatch_gradient(init_params(spec, 7), [], [])
+
+    @pytest.mark.parametrize("spec", STREAM_SPECS[1:], ids=lambda s: s.kind)
+    def test_a_chunk_is_one_graph_whatever_its_record_count(self, spec, monkeypatch):
+        # The head, the loss and the batch share run once over a chunk's
+        # stacked records, so a chunk of 7 records has the nodes of a chunk of 1.
+        monkeypatch.setattr(sys.modules["deeprain.train"], "CHUNK_BYTES", 7 * record_bytes(spec))
+        backward = Tape.backward
+        nodes = []
+        monkeypatch.setattr(Tape, "backward", lambda tape: nodes.append(len(tape.nodes)) or backward(tape))
+        records = synth_generate(SynthConfig(count=7, t=3, c=2, h=6, w=6, noise=0.1, seed=11))
+        inputs = [preprocess(r.frames, spec) for r in records]
+        model = init_params(spec, 6)
+        for k in (1, 7):
+            minibatch_gradient(model, inputs[:k], [r.label for r in records[:k]])
+        assert len(nodes) == 2 and nodes[0] == nodes[1], nodes
 
     def test_overflowing_loss_is_inf(self):
         # two predictions of 1e154: each squared error, 1e308, is finite
