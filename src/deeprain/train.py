@@ -52,7 +52,7 @@ OPTIMIZERS = ("adam", "gd")
 # model.record_bytes) within this many bytes, and at least one: a 30-record
 # batch of the canonical 5x2x8x8 FC-LSTM, two records of the two-stacked
 # 8-hidden ConvLSTM at 8x8, one at the paper's 26x26 maps. At 768 KiB a
-# 32-record FC-LSTM batch at 16x16 already peaks at 1.3x a 2-record one.
+# 32-record FC-LSTM batch at 16x16 already peaks at 1.25x a 2-record one.
 CHUNK_BYTES = 640 << 10
 
 
