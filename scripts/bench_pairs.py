@@ -23,7 +23,12 @@ first trains one batch (``workloads.warm_up``) and records the tape nodes
 it builds, summed over its tapes at each ``Tape.backward``. Each side's
 ``src/deeprain/*.py`` line counts, per file and in total as ``wc -l``
 counts them, are recorded too, so a change's deleted lines can be read next
-to its speed. The output is rewritten after every pair.
+to its speed. Each run also records ``minflt``, the minor page faults of
+the ``run.py`` process over its whole run (setup and every round), read as
+the difference of ``getrusage(RUSAGE_CHILDREN).ru_minflt`` around it; per
+workload, ``minflt`` holds each side's median and quartiles of it. A
+change that lands the allocator on its mmap or trim thresholds shows there
+before it shows in the speed. The output is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -84,8 +90,10 @@ def git_rev(path: str) -> str | None:
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     started = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     blas = BLAS_LINE.search(proc.stdout)
     return {
@@ -96,6 +104,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "rounds": proc.stdout.count(ROUND_LINE),
+        "minflt": faults,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -218,7 +227,12 @@ def main(argv=None) -> int:
                 report["blas_threads"] = r["blas_threads"]
                 print(f"[pairs] pair {k} {name} {side}: {r['metrics']} ({r['run_s']} s)", flush=True)
             if k >= 1:
-                report["workloads"][name] = {"metrics": summarise(spec, runs[name]), "runs": runs[name]}
+                report["workloads"][name] = {
+                    "metrics": summarise(spec, runs[name]),
+                    "minflt": {side: spread([r["minflt"] for r in side_runs])
+                               for side, side_runs in runs[name].items()},
+                    "runs": runs[name],
+                }
         save()
     return 0
 

@@ -49,11 +49,16 @@ __all__ = [
 
 OPTIMIZERS = ("adam", "gd")
 # A training chunk holds as many records as keep its tape's arrays (see
-# model.record_bytes) within this many bytes, and at least one: a 30-record
-# batch of the canonical 5x2x8x8 FC-LSTM, two records of the two-stacked
-# 8-hidden ConvLSTM at 8x8, one at the paper's 26x26 maps. At 768 KiB a
-# 32-record FC-LSTM batch at 16x16 already peaks at 1.25x a 2-record one.
-CHUNK_BYTES = 640 << 10
+# model.record_bytes) within CHUNK_BYTES and its stacked inputs, 8 * in_t *
+# frame_dim bytes a record, within CHUNK_INPUT_BYTES, and at least one:
+# four records of the two-stacked 8-hidden ConvLSTM at the canonical
+# 5x2x8x8, 51 of the canonical FC-LSTM (a batch of 30 is one chunk), 12 of
+# an FC-LSTM at 16x16, and one ConvLSTM record at 16x16 or at the paper's
+# 26x26 maps. The input cap bounds the FC-LSTM, whose largest array is the
+# chunk's inputs; five canonical ConvLSTM records cost more page faults
+# than they save.
+CHUNK_BYTES = 1088 << 10
+CHUNK_INPUT_BYTES = 256 << 10
 
 
 class DivergenceError(RuntimeError):
@@ -154,14 +159,16 @@ def minibatch_gradient(model: Model, inputs, labels: list[float]):
     it is read once, in order, one chunk of records at a time.
 
     Each chunk is one tape, each LSTM layer one node over the chunk, and
-    ``CHUNK_BYTES`` bounds what the tape keeps. A chunk's gradient sums
-    start at the previous chunk's, so every parameter adds the records'
-    gradients in record order, from the first: the bits of one tape over
-    the whole batch, whatever the chunk size.
+    ``CHUNK_BYTES`` and ``CHUNK_INPUT_BYTES`` bound what the tape keeps. A
+    chunk's gradient sums start at the previous chunk's, so every parameter
+    adds the records' gradients in record order, from the first: the bits
+    of one tape over the whole batch, whatever the chunk size.
     """
     n = len(labels)
+    spec = model.spec
     # a linear model has no layer node to share, so its chunks are records
-    size = 1 if model.spec.kind == "linear" else max(1, CHUNK_BYTES // record_bytes(model.spec))
+    size = 1 if spec.kind == "linear" else max(1, min(
+        CHUNK_BYTES // record_bytes(spec), CHUNK_INPUT_BYTES // (8 * spec.in_t * spec.frame_dim)))
     reader = iter(inputs)
     preds, errors, grads = [], [], None
     for lo in range(0, n, size):
@@ -217,7 +224,7 @@ def train(
         ):
             truth = [records[idx].label for idx in batch]
             # Each record is preprocessed as its chunk is read and freed with
-            # the chunk: memory is bounded by CHUNK_BYTES, not by the batch
+            # the chunk: memory is bounded by one chunk, not by the batch
             preds, loss, grads = minibatch_gradient(
                 model, (preprocess(records[idx].frames, cfg.model) for idx in batch), truth
             )
