@@ -328,8 +328,8 @@ def record_bytes(spec: ModelSpec) -> int:
     its h and c states and its four gate values. Only forward-saved arrays
     count: a ConvLSTM layer's backward pass also keeps every step's weight
     terms, 4h*(C_in+h)*k*k + 4h floats a layer and step, until the
-    parameter leaves add them up, so a canonical record's chunk costs
-    about 0.6 MB of RSS, 2.2x this count."""
+    parameter leaves add them up, so each canonical record in a chunk
+    adds about 0.6-0.8 MB of peak RSS, 2.2-3x this count."""
     pixels = spec.pooled_h * spec.pooled_w if spec.kind == "conv-lstm" else 1
     inputs = spec.frame_dim + (spec.stacks - 1) * spec.hidden * pixels
     return 8 * spec.in_t * (inputs + spec.stacks * 6 * spec.hidden * pixels)
